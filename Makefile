@@ -53,6 +53,7 @@ fuzz:
 	go test ./internal/trace -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime 30s
 	go test ./internal/trace -run '^$$' -fuzz '^FuzzIngest$$' -fuzztime 30s
 	go test ./internal/equiv -run '^$$' -fuzz '^FuzzEquivCell$$' -fuzztime 30s
+	go test ./internal/server -run '^$$' -fuzz '^FuzzFrontendDecode$$' -fuzztime 30s
 
 # Differential equivalence harness smoke: a small clean grid must show
 # zero divergences, and a perturbed cell must be detected.

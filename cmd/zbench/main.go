@@ -281,7 +281,7 @@ func measureCoordCache(name string, grid server.SweepRequest, cells int, stats j
 	defer coord.Close()
 
 	fmt.Fprintf(os.Stderr, "zbench: %s...\n", name)
-	cold, err := coord.RunSweep(context.Background(), grid, false, nil)
+	cold, err := coord.Sweep(context.Background(), grid, false, nil)
 	if err != nil {
 		return benchEntry{}, fmt.Errorf("%s: cold pass: %w", name, err)
 	}
@@ -302,7 +302,7 @@ func measureCoordCache(name string, grid server.SweepRequest, cells int, stats j
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cached := 0
-			resp, err := coord.RunSweep(context.Background(), grid, false, func(ev cluster.CellEvent) {
+			resp, err := coord.Sweep(context.Background(), grid, false, func(ev server.CellEvent) {
 				if ev.Cached {
 					cached++
 				}
@@ -364,7 +364,7 @@ func measureSweep(name string, n int, grid server.SweepRequest, cells int, noCac
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			resp, err := coord.RunSweep(context.Background(), grid, noCache, nil)
+			resp, err := coord.Sweep(context.Background(), grid, noCache, nil)
 			if err != nil {
 				failure = err
 				b.FailNow()

@@ -50,13 +50,6 @@ import (
 	"zbp/internal/server"
 )
 
-// drainer is the piece of graceful shutdown both roles share: stop
-// admitting, cancel running jobs, then release resources.
-type drainer interface {
-	Drain()
-	Close()
-}
-
 func main() {
 	var (
 		addr     = flag.String("addr", ":8347", "listen address")
@@ -90,10 +83,11 @@ func main() {
 	)
 	flag.Parse()
 
+	// Both roles are the same front end; only the executor under it
+	// differs.
 	var (
-		handler http.Handler
-		svc     drainer
-		role    = "zbpd"
+		srv  *server.Server
+		role = "zbpd"
 	)
 	if *coordinator {
 		role = "zbpd coordinator"
@@ -129,10 +123,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "zbpd:", err)
 			os.Exit(1)
 		}
-		handler, svc = coord.Handler(), coord
+		srv = coord.Server
 		log.Printf("zbpd: coordinating %d backends (router %s)", len(coord.Backends()), *router)
 	} else {
-		srv, err := server.New(server.Config{
+		var err error
+		srv, err = server.New(server.Config{
 			Workers:             *workers,
 			QueueDepth:          *queue,
 			MaxInstructions:     *maxN,
@@ -152,11 +147,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "zbpd:", err)
 			os.Exit(1)
 		}
-		handler, svc = srv.Handler(), srv
 	}
 	hs := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
@@ -178,7 +172,7 @@ func main() {
 		// Drain first: it cancels running async jobs and terminates
 		// their event streams, so long-lived streaming connections do
 		// not hold Shutdown open for the whole grace budget.
-		svc.Drain()
+		srv.Drain()
 		sctx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
 		// Shutdown stops the listener and waits for handlers — which
@@ -191,7 +185,7 @@ func main() {
 		}
 		// With no handlers left there are no queue submitters; drain
 		// whatever the workers still hold.
-		svc.Close()
+		srv.Close()
 		log.Printf("%s: drained, exiting", role)
 	}
 }

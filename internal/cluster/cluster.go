@@ -1,39 +1,38 @@
 // Package cluster shards sweeps across a fleet of zbpd backends. A
-// single zbpd process is fast and never recomputes repeats, but one
-// sweep still occupies one queue slot on one box — wall-clock for a
-// large grid is bounded by one machine. The coordinator in this
-// package accepts the existing /v1/sweep and /v1/jobs surface
-// unchanged, decomposes the grid into cells, and dispatches them to
-// backends over the /v1/cell protocol with:
+// single zbpd process is fast and never recomputes repeats, but it runs
+// a sweep one cell at a time on one box — wall-clock for a large grid
+// is bounded by one machine. The coordinator in this package is the
+// same /v1 front end a single box serves (internal/server), over an
+// executor that dispatches each cell to a backend over the /v1/cell
+// protocol with:
 //
 //   - Pluggable routing: rendezvous hashing on the result cache's
 //     canonical spec key (the default — identical cells always land on
 //     the backend that already holds the cached bytes), least-loaded
 //     (queue depth x run_seconds_ewma scraped from each backend's
 //     /healthz JSON), and round-robin.
-//   - Token-bucket admission control plus per-backend in-flight caps:
-//     fleet saturation becomes a 429 with a fleet-derived Retry-After
-//     instead of an unbounded pile-up.
+//   - Per-backend in-flight caps behind the front end's token-bucket
+//     admission control: fleet saturation becomes a 429 with a
+//     fleet-derived Retry-After instead of an unbounded pile-up.
 //   - Timeout/retry with hedged duplicates for straggler cells. The
 //     simulator is deterministic down to byte-identical stats JSON, so
 //     the first response simply wins — duplicate dispatch needs no
 //     reconciliation logic, which is what makes hedging free.
 //   - Automatic rerouting away from backends that fail health probes
 //     or drop connections mid-cell.
-//   - Streamed aggregation: per-cell JSONL progress events flow
-//     through the same /v1/jobs/{id}/events machinery a single box
-//     serves, so a client watching a large sweep sees cells complete
-//     live across the fleet.
 //
-// Because every cell is deterministic and the coordinator derives its
-// aggregate rows from backend-returned canonical stats through the
-// same server.Summarize a single box uses, a fleet sweep's result
-// JSON is byte-identical to a single-box run — even when a backend
-// dies mid-sweep and its cells are replayed elsewhere.
+// The front end runs a fleet grid's cells all at once and derives its
+// rows from backend-returned canonical stats through the same
+// server.Summarize a single box uses, so a fleet sweep's result JSON is
+// byte-identical to a single-box run — even when a backend dies
+// mid-sweep and its cells are replayed elsewhere. Since the coordinator
+// serves /v1/cell itself, another coordinator can list it as a backend.
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -44,12 +43,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"zbp/internal/core"
-	"zbp/internal/jobs"
 	"zbp/internal/metrics"
 	"zbp/internal/rcache"
 	"zbp/internal/server"
-	"zbp/internal/workload"
 )
 
 // Config sizes a Coordinator. Backends is required; every other field
@@ -188,20 +184,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Coordinator fans cells out over the fleet. Build with New, serve
-// Handler, and Close when done (Drain first on graceful shutdown).
+// Coordinator is the /v1 front end over a fleet: it is the executor the
+// embedded server runs cells on, plus membership, the probe loop and
+// /v1/backends. Build with New, serve Handler, and Close when done
+// (Drain first on graceful shutdown).
 type Coordinator struct {
+	*server.Server
+
 	cfg    Config
 	fleet  memberSet // mutable, versioned membership registry
 	router router
 	rr     atomic.Uint64 // shared rotation cursor (round-robin, tie-breaks, diff forwarding)
-	jobs   *jobs.Store
-	reg    *metrics.Registry
-	mux    *http.ServeMux
-	bucket *bucket
 	client *http.Client
-	cache  *rcache.Cache // coordinator-side result cache (fronts dispatch)
 
+	// baseCtx bounds the probe loop and membership drains; Shutdown
+	// cancels it.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
@@ -211,26 +208,7 @@ type Coordinator struct {
 	bfSize   int64
 	bfWarned bool
 
-	// Cache-audit lane: sampled coordinator cache hits recomputed via
-	// a real no-cache dispatch (see audit.go).
-	auditCh      chan coordAuditTask
-	auditHits    atomic.Int64
-	audits       atomic.Int64
-	auditErrors  atomic.Int64
-	auditFails   atomic.Int64
-	auditDropped atomic.Int64
-
-	// Live counters, exported via /metrics.
-	requests      atomic.Int64
-	completed     atomic.Int64
-	rejected      atomic.Int64
-	failed        atomic.Int64
-	canceled      atomic.Int64
-	jobsSubmitted atomic.Int64
-
-	cellsDone        atomic.Int64
-	cellsCached      atomic.Int64
-	cellErrors       atomic.Int64
+	// Fleet counters, exported via /metrics.
 	attempts         atomic.Int64
 	retries          atomic.Int64
 	hedgeLaunched    atomic.Int64
@@ -261,65 +239,209 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c.router = r
-	cache, err := rcache.New(rcache.Config{
-		MaxMemBytes:  c.cfg.CacheMemBytes,
-		Dir:          c.cfg.CacheDir,
-		MaxDiskBytes: c.cfg.CacheDiskBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.cache = cache
-	if c.cfg.AdmitCellsPerSec > 0 {
-		c.bucket = newBucket(c.cfg.AdmitCellsPerSec, float64(c.cfg.AdmitBurst), c.cfg.now)
-	}
-	c.jobs = jobs.NewStore(jobs.Options{
-		MaxJobs: c.cfg.MaxJobs,
-		TTL:     c.cfg.JobTTL,
-		Now:     c.cfg.now,
-	})
 	c.client = &http.Client{Transport: &http.Transport{
 		MaxIdleConnsPerHost: c.cfg.InflightPerBackend + 2,
 		IdleConnTimeout:     90 * time.Second,
 	}}
 	c.baseCtx, c.baseCancel = context.WithCancel(context.Background())
+	c.Server, err = server.NewFrontend(server.Config{
+		MaxBodyBytes:        c.cfg.MaxBodyBytes,
+		MaxInstructions:     c.cfg.MaxInstructions,
+		DefaultInstructions: c.cfg.DefaultInstructions,
+		MaxSweepCells:       c.cfg.MaxSweepCells,
+		DefaultTimeout:      c.cfg.DefaultTimeout,
+		MaxTimeout:          c.cfg.MaxTimeout,
+		MaxJobs:             c.cfg.MaxJobs,
+		JobTTL:              c.cfg.JobTTL,
+		CacheMemBytes:       c.cfg.CacheMemBytes,
+		CacheDir:            c.cfg.CacheDir,
+		CacheDiskBytes:      c.cfg.CacheDiskBytes,
+		AuditEvery:          c.cfg.AuditEvery,
+	}, c, server.Role{
+		Service: "zbpd-coordinator", Prefix: "zbpd.coord_",
+		FailStatus: http.StatusBadGateway,
+		AdmitRate:  c.cfg.AdmitCellsPerSec, AdmitBurst: c.cfg.AdmitBurst,
+		Now: c.cfg.now,
+	})
+	if err != nil {
+		c.baseCancel()
+		return nil, err
+	}
+	c.HandleFunc("GET /v1/backends", c.handleBackendsList)
+	c.HandleFunc("POST /v1/backends", c.handleBackendAdd)
+	c.HandleFunc("DELETE /v1/backends", c.handleBackendRemove)
 	// Load the membership file once, synchronously, so a file-only
 	// fleet is routable before the first probe tick.
 	c.maybeReloadBackendsFile()
-	c.reg = c.buildRegistry()
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/simulate", c.handleSimulate)
-	c.mux.HandleFunc("POST /v1/sweep", c.handleSweep)
-	c.mux.HandleFunc("POST /v1/jobs", c.handleJobCreate)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobGet)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleJobEvents)
-	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJobDelete)
-	c.mux.HandleFunc("GET /v1/backends", c.handleBackendsList)
-	c.mux.HandleFunc("POST /v1/backends", c.handleBackendAdd)
-	c.mux.HandleFunc("DELETE /v1/backends", c.handleBackendRemove)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	if c.cfg.AuditEvery > 0 {
-		c.auditCh = make(chan coordAuditTask, 8)
-		c.wg.Add(1)
-		go c.auditLoop()
-	}
 	c.wg.Add(1)
 	go c.probeLoop()
 	return c, nil
 }
 
-// Handler returns the coordinator's HTTP handler tree.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
+// Exec dispatches one cell to the fleet (see dispatchCell).
+func (c *Coordinator) Exec(ctx context.Context, cell rcache.CellSpec, noCache bool) (server.Outcome, error) {
+	return c.dispatchCell(ctx, c.fleet.snapshot(), cell, noCache)
+}
 
-// Drain begins shutdown: new job submissions are refused and running
-// jobs cancel cooperatively, ending their event streams. Call before
-// http.Server.Shutdown.
-func (c *Coordinator) Drain() { c.baseCancel() }
+// Audit re-resolves a sampled coordinator cache hit through a real
+// no-cache dispatch — no_cache all the way down, so a backend simulates
+// rather than answering from its own cache — and byte-compares it with
+// what the cache served. Determinism down to identical bytes is what
+// makes the comparison exact.
+func (c *Coordinator) Audit(ctx context.Context, cell rcache.CellSpec, stats []byte) ([]string, error) {
+	out, err := c.Exec(ctx, cell, true)
+	if err != nil || bytes.Equal(out.Stats, stats) {
+		return nil, err
+	}
+	return []string{fmt.Sprintf("%+v: cached stats diverge from a no-cache recompute", cell)}, nil
+}
 
-// Close cancels everything outstanding and waits for job runners and
-// the probe loop to exit.
-func (c *Coordinator) Close() {
+// Diff forwards the grid to one backend as a sync request — the
+// harness recomputes on purpose, so there is nothing to shard or cache
+// — retrying on the next backend if the chosen one fails.
+func (c *Coordinator) Diff(ctx context.Context, req server.DiffRequest, seed uint64, onCell func(server.DiffCell)) ([]server.DiffCell, error) {
+	// The caller's ctx is the real deadline; give the backend's own
+	// sync clamp as much room as it allows.
+	req.Seed, req.TimeoutMs = &seed, int(c.cfg.MaxTimeout/time.Millisecond)
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	cands := c.candidates(c.fleet.snapshot())
+	if len(cands) == 0 {
+		return nil, errors.New("no backends available")
+	}
+	start := int(c.rr.Add(1) - 1)
+	var lastErr error
+	for k := range cands {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		var resp server.DiffResponse
+		permanent, ferr := c.post(ctx, ctx, cands[(start+k)%len(cands)], "/v1/diff", body, &resp)
+		if ferr != nil {
+			lastErr = ferr
+			if permanent {
+				return nil, ferr
+			}
+			continue
+		}
+		for _, dc := range resp.Cells {
+			if onCell != nil {
+				onCell(dc)
+			}
+		}
+		return resp.Cells, nil
+	}
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	return nil, fmt.Errorf("diff failed on every backend: %w", lastErr)
+}
+
+// TraceName passes path-backed workloads (file:/spec:) through: each
+// backend enforces its own -trace-dir allowlist, and the router keys by
+// content digest when the coordinator can read the file, by name
+// otherwise (stable either way).
+func (c *Coordinator) TraceName(name string) (string, error) { return name, nil }
+
+// RetryAfter estimates when fleet capacity frees up: the least busy
+// healthy backend's queued work spread over its workers.
+func (c *Coordinator) RetryAfter() time.Duration {
+	best := 0.0
+	have := false
+	for _, b := range c.candidates(c.fleet.snapshot()) {
+		h := b.load.Load()
+		if h == nil {
+			continue
+		}
+		workers := max(h.Workers, 1)
+		ewma := h.RunSecondsEWMA
+		if ewma <= 0 {
+			ewma = 1
+		}
+		est := float64(h.QueueDepth+int(h.Inflight)+1) * ewma / float64(workers)
+		if !have || est < best {
+			best, have = est, true
+		}
+	}
+	return time.Duration(best * float64(time.Second))
+}
+
+// RunSecondsEWMA is the mean smoothed per-task duration across backends
+// with a load snapshot — the fleet analogue of a single box's
+// run_seconds_ewma, reported in progress events.
+func (c *Coordinator) RunSecondsEWMA() float64 {
+	var sum float64
+	n := 0
+	for _, b := range c.fleet.snapshot() {
+		if h := b.load.Load(); h != nil {
+			sum += h.RunSecondsEWMA
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// HealthResponse is the coordinator's GET /healthz body: its own role
+// plus one row per backend with the last scraped load snapshot.
+// Version is the membership generation (bumps on every join/leave).
+type HealthResponse struct {
+	Status   string          `json:"status"`
+	Role     string          `json:"role"`
+	Router   string          `json:"router"`
+	Version  int64           `json:"version"`
+	Backends []BackendStatus `json:"backends"`
+}
+
+func (c *Coordinator) Health() any {
+	return HealthResponse{
+		Status: "ok", Role: "coordinator", Router: c.router.name(),
+		Version: c.fleet.generation(), Backends: c.Backends(),
+	}
+}
+
+// Register adds the fleet gauges; everything is a snapshot-time read of
+// an atomic, so scrapes race nothing.
+func (c *Coordinator) Register(reg *metrics.Registry) {
+	gauge := func(name string, f func() float64) { reg.Gauge(name, f) }
+	count := func(name string, v *atomic.Int64) {
+		gauge(name, func() float64 { return float64(v.Load()) })
+	}
+	count("zbpd.coord_attempts_total", &c.attempts)
+	count("zbpd.coord_retries_total", &c.retries)
+	count("zbpd.hedge_launched_total", &c.hedgeLaunched)
+	count("zbpd.hedge_wins_total", &c.hedgeWins)
+	count("zbpd.backend_unhealthy_total", &c.backendUnhealthy)
+	count("zbpd.backend_added_total", &c.backendAdded)
+	count("zbpd.backend_removed_total", &c.backendRemoved)
+	gauge("zbpd.coord_cache_mem_bytes", func() float64 { return float64(c.Cache().MemBytes()) })
+	gauge("zbpd.coord_backends", func() float64 { return float64(c.fleet.size()) })
+	gauge("zbpd.coord_backends_version", func() float64 { return float64(c.fleet.generation()) })
+	gauge("zbpd.coord_backends_healthy", func() float64 {
+		n := 0
+		for _, b := range c.fleet.snapshot() {
+			if b.healthy.Load() {
+				n++
+			}
+		}
+		return float64(n)
+	})
+	gauge("zbpd.coord_inflight", func() float64 {
+		var n int64
+		for _, b := range c.fleet.snapshot() {
+			n += b.inflight.Load()
+		}
+		return float64(n)
+	})
+}
+
+// Shutdown stops the probe loop and membership drains once the front
+// end is idle; Close calls it.
+func (c *Coordinator) Shutdown() {
 	c.baseCancel()
 	c.wg.Wait()
 	c.client.CloseIdleConnections()
@@ -373,50 +495,6 @@ func (c *Coordinator) order(members []*backend, spec rcache.CellSpec) []*backend
 		return nil
 	}
 	return c.router.order(RouteKey(spec).Hash64(), cands)
-}
-
-// fleetEWMASeconds is the mean smoothed per-task duration across
-// backends with a load snapshot — the fleet-level analogue of the
-// single box's run_seconds_ewma, reported in progress events.
-func (c *Coordinator) fleetEWMASeconds() float64 {
-	var sum float64
-	n := 0
-	for _, b := range c.fleet.snapshot() {
-		if h := b.load.Load(); h != nil {
-			sum += h.RunSecondsEWMA
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// fleetWaitSeconds estimates when fleet capacity frees up: the least
-// busy healthy backend's queued work spread over its workers.
-func (c *Coordinator) fleetWaitSeconds() float64 {
-	best := 0.0
-	have := false
-	for _, b := range c.candidates(c.fleet.snapshot()) {
-		h := b.load.Load()
-		if h == nil {
-			continue
-		}
-		workers := h.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		ewma := h.RunSecondsEWMA
-		if ewma <= 0 {
-			ewma = 1
-		}
-		est := float64(h.QueueDepth+int(h.Inflight)+1) * ewma / float64(workers)
-		if !have || est < best {
-			best, have = est, true
-		}
-	}
-	return best
 }
 
 // probeLoop polls every member's /healthz on the configured interval
@@ -480,148 +558,6 @@ func (c *Coordinator) noteBackendSuccess(b *backend) {
 	if b.healthy.CompareAndSwap(false, true) {
 		log.Printf("cluster: backend %s healthy again", b.name)
 	}
-}
-
-// buildRegistry wires the coordinator gauges; everything is a
-// snapshot-time read of an atomic, so scrapes race nothing.
-func (c *Coordinator) buildRegistry() *metrics.Registry {
-	reg := metrics.NewRegistry()
-	reg.Label("service", "zbpd-coordinator")
-	gauge := func(name string, v *atomic.Int64) {
-		reg.Gauge(name, func() float64 { return float64(v.Load()) })
-	}
-	gauge("zbpd.requests_total", &c.requests)
-	gauge("zbpd.completed_total", &c.completed)
-	gauge("zbpd.rejected_total", &c.rejected)
-	gauge("zbpd.failed_total", &c.failed)
-	gauge("zbpd.canceled_total", &c.canceled)
-	gauge("zbpd.jobs_submitted_total", &c.jobsSubmitted)
-	gauge("zbpd.coord_cells_total", &c.cellsDone)
-	gauge("zbpd.coord_cells_cached_total", &c.cellsCached)
-	gauge("zbpd.coord_cell_errors_total", &c.cellErrors)
-	gauge("zbpd.coord_attempts_total", &c.attempts)
-	gauge("zbpd.coord_retries_total", &c.retries)
-	gauge("zbpd.hedge_launched_total", &c.hedgeLaunched)
-	gauge("zbpd.hedge_wins_total", &c.hedgeWins)
-	gauge("zbpd.backend_unhealthy_total", &c.backendUnhealthy)
-	gauge("zbpd.backend_added_total", &c.backendAdded)
-	gauge("zbpd.backend_removed_total", &c.backendRemoved)
-	gauge("zbpd.coord_cache_audits_total", &c.audits)
-	gauge("zbpd.coord_cache_audit_errors_total", &c.auditErrors)
-	gauge("zbpd.coord_cache_audit_failures_total", &c.auditFails)
-	gauge("zbpd.coord_cache_audit_dropped_total", &c.auditDropped)
-	fn := func(name string, f func() float64) { reg.Gauge(name, f) }
-	fn("zbpd.coord_cache_hits_total", func() float64 { return float64(c.cache.Hits()) })
-	fn("zbpd.coord_cache_misses_total", func() float64 { return float64(c.cache.Misses()) })
-	fn("zbpd.coord_cache_entries", func() float64 { return float64(c.cache.Len()) })
-	fn("zbpd.coord_cache_mem_bytes", func() float64 { return float64(c.cache.MemBytes()) })
-	fn("zbpd.coord_backends", func() float64 { return float64(c.fleet.size()) })
-	fn("zbpd.coord_backends_version", func() float64 { return float64(c.fleet.generation()) })
-	fn("zbpd.coord_backends_healthy", func() float64 {
-		n := 0
-		for _, b := range c.fleet.snapshot() {
-			if b.healthy.Load() {
-				n++
-			}
-		}
-		return float64(n)
-	})
-	fn("zbpd.coord_inflight", func() float64 {
-		var n int64
-		for _, b := range c.fleet.snapshot() {
-			n += b.inflight.Load()
-		}
-		return float64(n)
-	})
-	if c.bucket != nil {
-		fn("zbpd.coord_admit_tokens", func() float64 { return c.bucket.available() })
-	}
-	fn("zbpd.jobs_active", func() float64 { return float64(c.jobs.Active()) })
-	fn("zbpd.jobs_table", func() float64 { return float64(c.jobs.Len()) })
-	fn("zbpd.jobs_done_total", func() float64 { return float64(c.jobs.DoneCount()) })
-	fn("zbpd.jobs_failed_total", func() float64 { return float64(c.jobs.FailedCount()) })
-	fn("zbpd.jobs_canceled_total", func() float64 { return float64(c.jobs.CanceledCount()) })
-	fn("zbpd.jobs_evicted_total", func() float64 { return float64(c.jobs.Evicted()) })
-	return reg
-}
-
-// --- request validation (mirrors the single-box service) --------------
-
-func (c *Coordinator) normalizeSimulate(req *server.SimulateRequest) (uint64, error) {
-	if req.Config == "" {
-		req.Config = "z15"
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	if req.Instructions == 0 {
-		req.Instructions = c.cfg.DefaultInstructions
-	}
-	if _, err := core.ByName(req.Config); err != nil {
-		return 0, err
-	}
-	if err := validateWorkloads(req.Workload, req.Workload2); err != nil {
-		return 0, err
-	}
-	if req.Instructions < 0 || req.Instructions > c.cfg.MaxInstructions {
-		return 0, fmt.Errorf("instructions %d out of range [1, %d]", req.Instructions, c.cfg.MaxInstructions)
-	}
-	return seed, nil
-}
-
-func (c *Coordinator) normalizeSweep(req *server.SweepRequest) (int, error) {
-	if len(req.Configs) == 0 {
-		req.Configs = []string{"z15"}
-	}
-	if len(req.Seeds) == 0 {
-		req.Seeds = []uint64{42}
-	}
-	if req.Instructions == 0 {
-		req.Instructions = c.cfg.DefaultInstructions
-	}
-	if req.Instructions < 0 || req.Instructions > c.cfg.MaxInstructions {
-		return 0, fmt.Errorf("instructions %d out of range [1, %d]", req.Instructions, c.cfg.MaxInstructions)
-	}
-	cells := len(req.Configs) * len(req.Workloads) * len(req.Seeds)
-	if cells == 0 {
-		return 0, errors.New("empty sweep grid: need workloads")
-	}
-	if cells > c.cfg.MaxSweepCells {
-		return 0, fmt.Errorf("sweep grid has %d cells, limit %d", cells, c.cfg.MaxSweepCells)
-	}
-	if err := validateWorkloads(req.Workloads...); err != nil {
-		return 0, err
-	}
-	for _, name := range req.Configs {
-		if _, err := core.ByName(name); err != nil {
-			return 0, err
-		}
-	}
-	return cells, nil
-}
-
-func validateWorkloads(names ...string) error {
-	if len(names) == 0 || names[0] == "" {
-		return errors.New("missing workload")
-	}
-	reg := workload.Registry()
-	for _, name := range names {
-		if name == "" {
-			continue
-		}
-		// Path-backed workloads (file:/spec:) pass through: each backend
-		// enforces its own -trace-dir allowlist, and the router keys by
-		// content digest when the coordinator can read the file, by name
-		// otherwise (stable either way).
-		if workload.PathBacked(name) {
-			continue
-		}
-		if _, ok := reg[name]; !ok {
-			return fmt.Errorf("unknown workload %q (have %v)", name, workload.Names())
-		}
-	}
-	return nil
 }
 
 // backendName renders a URL as the short name used in events and logs.

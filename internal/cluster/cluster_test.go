@@ -190,7 +190,7 @@ func TestFleetSweepByteIdentical(t *testing.T) {
 	if cold.Progress.CellsDone != total {
 		t.Errorf("cold run finished %d/%d cells", cold.Progress.CellsDone, total)
 	}
-	if got := f.coord.cache.Misses(); got != int64(total) {
+	if got := f.coord.Cache().Misses(); got != int64(total) {
 		t.Errorf("cold run recorded %d coordinator cache misses, want %d", got, total)
 	}
 
@@ -208,10 +208,10 @@ func TestFleetSweepByteIdentical(t *testing.T) {
 	if d := totalDispatched(f.coord) - dispatchedBefore; d != 0 {
 		t.Errorf("warm run performed %d backend dispatches, want 0", d)
 	}
-	if got := f.coord.cache.Hits(); got != int64(total) {
+	if got := f.coord.Cache().Hits(); got != int64(total) {
 		t.Errorf("coordinator cache hits %d after warm run, want %d", got, total)
 	}
-	if got := f.coord.cellsCached.Load(); got < int64(warm.Progress.CellsCached) {
+	if got := f.coord.CellsCached.Load(); got < int64(warm.Progress.CellsCached) {
 		t.Errorf("coordinator cached-cell counter %d below job's %d", got, warm.Progress.CellsCached)
 	}
 }
@@ -361,7 +361,7 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := fmt.Sscanf(ra, "%d", &secs); err != nil || secs < 1 || secs > 60 {
 		t.Errorf("Retry-After %q outside [1,60]", ra)
 	}
-	if f.coord.rejected.Load() == 0 {
+	if f.coord.Rejected.Load() == 0 {
 		t.Error("rejected counter did not move")
 	}
 }

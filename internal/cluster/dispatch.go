@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"zbp/internal/rcache"
@@ -19,14 +17,6 @@ import (
 // maxCellResponseBytes bounds one backend reply (a stats snapshot is
 // tens of KB; this is a safety ceiling, not a tuning knob).
 const maxCellResponseBytes = 8 << 20
-
-// cellOutcome is the winning attempt for one cell.
-type cellOutcome struct {
-	stats   []byte
-	cached  bool   // served from the winning backend's result cache
-	backend string // who won
-	hedged  bool   // the hedge duplicate won, not the primary
-}
 
 // attemptResult is what one dispatch attempt reports back.
 type attemptResult struct {
@@ -39,41 +29,6 @@ type attemptResult struct {
 	permanent bool
 }
 
-// runCell resolves one cell: coordinator result cache first, fleet
-// dispatch on a miss. The cache is keyed by the same canonical
-// rcache content address the rendezvous router hashes, and stores the
-// winning canonical stats bytes — so a repeat sweep is answered with
-// zero backend dispatches. Per-key singleflight means N concurrent
-// requests for the same uncomputed cell dispatch once and share the
-// bytes. Sampled hits are re-verified end to end by a real no-cache
-// dispatch (see audit.go).
-func (c *Coordinator) runCell(ctx context.Context, members []*backend, spec rcache.CellSpec, noCache bool) (cellOutcome, error) {
-	if noCache {
-		return c.dispatchCell(ctx, members, spec, true)
-	}
-	key := RouteKey(spec)
-	var out cellOutcome
-	var dispatched bool
-	v, hit, err := c.cache.GetOrCompute(ctx, key, func(cctx context.Context) ([]byte, error) {
-		o, derr := c.dispatchCell(cctx, members, spec, false)
-		if derr != nil {
-			return nil, derr
-		}
-		out, dispatched = o, true
-		return o.stats, nil
-	})
-	if err != nil {
-		return cellOutcome{}, err
-	}
-	if !hit && dispatched {
-		return out, nil
-	}
-	// Served from the coordinator's own cache (memory, disk, or
-	// coalesced onto a concurrent dispatch): no backend attribution.
-	c.maybeAudit(key, spec, v)
-	return cellOutcome{stats: v, cached: true}, nil
-}
-
 // dispatchCell resolves one cell against the fleet: primary dispatch
 // on the router's first choice, one hedged duplicate on the next
 // choice if the primary dawdles past HedgeDelay, and immediate
@@ -81,10 +36,10 @@ func (c *Coordinator) runCell(ctx context.Context, members []*backend, spec rcac
 // first successful response wins; determinism makes every response
 // interchangeable byte for byte, so the loser is simply cancelled,
 // never reconciled.
-func (c *Coordinator) dispatchCell(ctx context.Context, members []*backend, spec rcache.CellSpec, noCache bool) (cellOutcome, error) {
+func (c *Coordinator) dispatchCell(ctx context.Context, members []*backend, spec rcache.CellSpec, noCache bool) (server.Outcome, error) {
 	prefs := c.order(members, spec)
 	if len(prefs) == 0 {
-		return cellOutcome{}, errors.New("no backends available")
+		return server.Outcome{}, errors.New("no backends available")
 	}
 	cellCtx, cancel := context.WithCancel(ctx)
 	defer cancel() // reaps the losing attempt the moment one wins
@@ -146,7 +101,7 @@ func (c *Coordinator) dispatchCell(ctx context.Context, members []*backend, spec
 		return true
 	}
 	if !launch(false) {
-		return cellOutcome{}, errors.New("no backends available")
+		return server.Outcome{}, errors.New("no backends available")
 	}
 
 	var hedgeCh <-chan time.Time
@@ -159,7 +114,7 @@ func (c *Coordinator) dispatchCell(ctx context.Context, members []*backend, spec
 	for {
 		select {
 		case <-ctx.Done():
-			return cellOutcome{}, ctx.Err()
+			return server.Outcome{}, ctx.Err()
 		case <-hedgeCh:
 			hedgeCh = nil // at most one hedge per cell
 			if inflight > 0 {
@@ -172,21 +127,21 @@ func (c *Coordinator) dispatchCell(ctx context.Context, members []*backend, spec
 				if res.isHedge {
 					c.hedgeWins.Add(1)
 				}
-				return cellOutcome{
-					stats: res.resp.Stats, cached: res.resp.Cached,
-					backend: res.b.name, hedged: res.isHedge,
+				return server.Outcome{
+					Stats: res.resp.Stats, Cached: res.resp.Cached,
+					Backend: res.b.name, Hedged: res.isHedge,
 				}, nil
 			}
 			lastErr = res.err
 			if res.permanent {
-				return cellOutcome{}, res.err
+				return server.Outcome{}, res.err
 			}
 			// Reroute: the next-choice backend gets the cell now, not
 			// after a backoff — a failed box's work must migrate fast.
 			if launch(false) {
 				c.retries.Add(1)
 			} else if inflight == 0 {
-				return cellOutcome{}, fmt.Errorf("cell failed after %d attempts: %w", launched, lastErr)
+				return server.Outcome{}, fmt.Errorf("cell failed after %d attempts: %w", launched, lastErr)
 			}
 		}
 	}
@@ -202,21 +157,6 @@ func (c *Coordinator) attempt(ctx context.Context, b *backend, spec rcache.CellS
 	b.dispatched.Add(1)
 	actx, cancel := context.WithTimeout(ctx, c.cfg.CellTimeout)
 	defer cancel()
-	resp, permanent, err := c.postCell(actx, ctx, b, spec, noCache)
-	if err != nil {
-		b.failures.Add(1)
-		return attemptResult{b: b, err: err, permanent: permanent}
-	}
-	return attemptResult{resp: resp, b: b}
-}
-
-// postCell performs the /v1/cell POST and classifies the reply:
-// success, saturation (retry elsewhere, the box is fine), permanent
-// rejection (nobody can fix a bad request), or failure (counts toward
-// the backend's health). ctx is the attempt's own context (parent
-// plus CellTimeout); parent is the caller's, consulted to tell "the
-// caller gave up" apart from "the backend stalled".
-func (c *Coordinator) postCell(ctx, parent context.Context, b *backend, spec rcache.CellSpec, noCache bool) (*server.CellResponse, bool, error) {
 	seed := spec.Seed
 	body, err := json.Marshal(server.CellRequest{
 		SimulateRequest: server.SimulateRequest{
@@ -226,12 +166,28 @@ func (c *Coordinator) postCell(ctx, parent context.Context, b *backend, spec rca
 		},
 		NoCache: noCache,
 	})
-	if err != nil {
-		return nil, true, err
+	var resp server.CellResponse
+	permanent := true
+	if err == nil {
+		permanent, err = c.post(actx, ctx, b, "/v1/cell", body, &resp)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/cell", bytes.NewReader(body))
 	if err != nil {
-		return nil, true, err
+		b.failures.Add(1)
+		return attemptResult{b: b, err: err, permanent: permanent}
+	}
+	return attemptResult{resp: &resp, b: b}
+}
+
+// post sends one JSON request to a backend and classifies the reply:
+// success (decoded into into), saturation (retry elsewhere, the box is
+// fine), permanent rejection (nobody can fix a bad request), or failure
+// (counts toward the backend's health). ctx is the request's own
+// context; parent is the caller's, consulted to tell "the caller gave
+// up" apart from "the backend stalled".
+func (c *Coordinator) post(ctx, parent context.Context, b *backend, path string, body []byte, into any) (permanent bool, err error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+path, bytes.NewReader(body))
+	if err != nil {
+		return true, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(hreq)
@@ -242,34 +198,32 @@ func (c *Coordinator) postCell(ctx, parent context.Context, b *backend, spec rca
 			// expired. Either way the interruption is no evidence
 			// against this backend: a short client timeout must not
 			// flip healthy boxes unhealthy fleet-wide.
-			return nil, false, err
+			return false, err
 		}
 		// The attempt's own CellTimeout fired or the transport failed
 		// outright (connection refused, reset): evidence the box is
 		// sick.
 		c.noteBackendFailure(b)
-		return nil, false, fmt.Errorf("backend %s: %w", b.name, err)
+		return false, fmt.Errorf("backend %s: %w", b.name, err)
 	}
 	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK:
+	switch resp.StatusCode {
+	case http.StatusOK:
 		c.noteBackendSuccess(b)
-		var cr server.CellResponse
-		if derr := json.NewDecoder(io.LimitReader(resp.Body, maxCellResponseBytes)).Decode(&cr); derr != nil {
-			return nil, false, fmt.Errorf("backend %s: undecodable cell response: %w", b.name, derr)
+		if err := json.NewDecoder(io.LimitReader(resp.Body, maxCellResponseBytes)).Decode(into); err != nil {
+			return false, fmt.Errorf("backend %s: undecodable %s response: %w", b.name, path, err)
 		}
-		return &cr, false, nil
-	case resp.StatusCode == http.StatusTooManyRequests:
+		return false, nil
+	case http.StatusTooManyRequests:
 		// Saturated, not sick: retry on the next choice without
 		// denting this backend's health.
 		drain(resp.Body)
-		return nil, false, fmt.Errorf("backend %s: saturated (429)", b.name)
-	case resp.StatusCode == http.StatusBadRequest,
-		resp.StatusCode == http.StatusRequestEntityTooLarge:
-		return nil, true, fmt.Errorf("backend %s rejected cell: %s", b.name, readError(resp.Body))
+		return false, fmt.Errorf("backend %s: saturated (429)", b.name)
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		return true, fmt.Errorf("backend %s rejected %s: %s", b.name, path, readError(resp.Body))
 	default:
 		c.noteBackendFailure(b)
-		return nil, false, fmt.Errorf("backend %s: %s: %s", b.name, resp.Status, readError(resp.Body))
+		return false, fmt.Errorf("backend %s: %s: %s", b.name, resp.Status, readError(resp.Body))
 	}
 }
 
@@ -283,159 +237,4 @@ func readError(r io.Reader) string {
 		return e.Error
 	}
 	return "(no detail)"
-}
-
-// CellEvent is the coordinator's per-cell JSONL progress line. It is
-// the single-box cellEvent plus fleet attribution (which backend,
-// whether the hedge won), so existing streaming clients keep working
-// and fleet-aware ones learn more.
-type CellEvent struct {
-	Type         string  `json:"type"` // "cell"
-	Index        int     `json:"index"`
-	Done         int     `json:"done"`
-	Total        int     `json:"total"`
-	Config       string  `json:"config"`
-	Workload     string  `json:"workload"`
-	Workload2    string  `json:"workload2,omitempty"`
-	Seed         uint64  `json:"seed"`
-	Cached       bool    `json:"cached"`
-	Backend      string  `json:"backend,omitempty"`
-	Hedged       bool    `json:"hedged,omitempty"`
-	Instructions int64   `json:"instructions,omitempty"`
-	Cycles       int64   `json:"cycles,omitempty"`
-	MPKI         float64 `json:"mpki"`
-	IPC          float64 `json:"ipc"`
-	Accuracy     float64 `json:"accuracy"`
-	Error        string  `json:"error,omitempty"`
-	// RunSecondsEWMA is the fleet-mean smoothed per-task duration at
-	// publish time (the fleet analogue of the single-box field).
-	RunSecondsEWMA float64 `json:"run_seconds_ewma"`
-}
-
-// RunSweep fans one sweep grid across the fleet, all cells in flight
-// at once (bounded by per-backend slots), and assembles the rows in
-// grid order — configs outermost, seeds innermost, exactly the
-// single-box layout. onEvent (optional) fires once per finished cell,
-// in completion order, with Done monotonically increasing.
-//
-// The returned response marshals byte-identically to a single-box
-// sweep of the same grid: rows are derived from backend-returned
-// canonical stats through the same server.Summarize, and row order is
-// position-assigned, not completion-ordered.
-func (c *Coordinator) RunSweep(ctx context.Context, req server.SweepRequest, noCache bool, onEvent func(CellEvent)) (server.SweepResponse, error) {
-	// Pin membership once for the whole sweep: cells route against
-	// this snapshot, so concurrent joins/leaves cannot shuffle cells
-	// between backends mid-grid. (A member deregistered mid-sweep is
-	// still skipped instantly — candidates() drops departed members
-	// from every snapshot.)
-	members := c.fleet.snapshot()
-	total := len(req.Configs) * len(req.Workloads) * len(req.Seeds)
-	rows := make([]server.SweepCell, total)
-	var done atomic.Int64
-	var evMu sync.Mutex // serializes onEvent so Done never regresses
-	var wg sync.WaitGroup
-	idx := 0
-	for _, cfgName := range req.Configs {
-		for _, wl := range req.Workloads {
-			for _, seed := range req.Seeds {
-				i := idx
-				spec := rcache.CellSpec{
-					Config: cfgName, Workload: wl, Seed: seed, Instructions: req.Instructions,
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rows[i] = c.sweepCell(ctx, members, spec, noCache, i, total, &done, &evMu, onEvent)
-				}()
-				idx++
-			}
-		}
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return server.SweepResponse{}, err
-	}
-	resp := server.SweepResponse{Cells: rows}
-	for i := range rows {
-		if rows[i].Error != "" {
-			resp.Errors++
-		}
-	}
-	return resp, nil
-}
-
-// sweepCell resolves one grid position and reports its event.
-func (c *Coordinator) sweepCell(ctx context.Context, members []*backend, spec rcache.CellSpec, noCache bool, i, total int, done *atomic.Int64, evMu *sync.Mutex, onEvent func(CellEvent)) server.SweepCell {
-	row := server.SweepCell{Config: spec.Config, Workload: spec.Workload, Seed: spec.Seed}
-	ev := CellEvent{
-		Type: "cell", Index: i, Total: total,
-		Config: spec.Config, Workload: spec.Workload, Seed: spec.Seed,
-	}
-	out, err := c.runCell(ctx, members, spec, noCache)
-	if err == nil {
-		var sum server.CellSummary
-		if _, sum, err = server.Summarize(spec, out.stats); err == nil {
-			row.Instructions, row.Cycles = sum.Instructions, sum.Cycles
-			row.MPKI, row.IPC, row.Accuracy = sum.MPKI, sum.IPC, sum.Accuracy
-			ev.Cached, ev.Backend, ev.Hedged = out.cached, out.backend, out.hedged
-			ev.Instructions, ev.Cycles = sum.Instructions, sum.Cycles
-			ev.MPKI, ev.IPC, ev.Accuracy = sum.MPKI, sum.IPC, sum.Accuracy
-			c.cellsDone.Add(1)
-			if out.cached {
-				c.cellsCached.Add(1)
-			}
-		}
-	}
-	if err != nil {
-		row.Error = err.Error()
-		ev.Error = row.Error
-		if ctx.Err() == nil {
-			c.cellErrors.Add(1)
-		}
-	}
-	if onEvent != nil && ctx.Err() == nil {
-		evMu.Lock()
-		ev.Done = int(done.Add(1))
-		ev.RunSecondsEWMA = c.fleetEWMASeconds()
-		onEvent(ev)
-		evMu.Unlock()
-	}
-	return row
-}
-
-// RunSimulate resolves one cell and shapes it as the public simulate
-// response (byte-compatible with the single-box endpoint).
-func (c *Coordinator) RunSimulate(ctx context.Context, req server.SimulateRequest, seed uint64, noCache bool) (server.SimulateResponse, cellOutcome, error) {
-	spec := rcache.CellSpec{
-		Config: req.Config, Workload: req.Workload, Workload2: req.Workload2,
-		Seed: seed, Instructions: req.Instructions,
-	}
-	out, err := c.runCell(ctx, c.fleet.snapshot(), spec, noCache)
-	if err != nil {
-		return server.SimulateResponse{}, cellOutcome{}, err
-	}
-	snap, sum, err := server.Summarize(spec, out.stats)
-	if err != nil {
-		return server.SimulateResponse{}, cellOutcome{}, err
-	}
-	c.cellsDone.Add(1)
-	if out.cached {
-		c.cellsCached.Add(1)
-	}
-	resp := server.SimulateResponse{
-		Config:       req.Config,
-		Workload:     req.Workload,
-		Workload2:    req.Workload2,
-		Seed:         seed,
-		Instructions: sum.Instructions,
-		Branches:     sum.Branches,
-		Cycles:       sum.Cycles,
-		MPKI:         sum.MPKI,
-		IPC:          sum.IPC,
-		Accuracy:     sum.Accuracy,
-	}
-	if req.FullStats {
-		resp.Stats = snap
-	}
-	return resp, out, nil
 }

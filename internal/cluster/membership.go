@@ -10,8 +10,8 @@ package cluster
 // The consistency story leans on the same property everything else in
 // this package does — rendezvous routing over the result-cache key:
 //
-//   - Membership is snapshotted once per sweep (RunSweep/RunSimulate
-//     pin the member list before fanning out). In-flight cells finish
+//   - Membership is snapshotted once per cell dispatch, and a fleet
+//     grid dispatches all its cells at once. In-flight cells finish
 //     against their snapshot; membership changes only steer cells
 //     dispatched after them.
 //   - A removed backend is first marked departed, which removes it
@@ -36,6 +36,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"zbp/internal/server"
 )
 
 // memberSet is the fleet registry: the live member list plus a version
@@ -187,26 +189,22 @@ type BackendChangeResponse struct {
 }
 
 func (c *Coordinator) handleBackendsList(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
-	resp := BackendsResponse{Version: c.fleet.generation()}
-	for _, b := range c.fleet.snapshot() {
-		resp.Backends = append(resp.Backends, b.status())
-	}
-	writeJSON(w, http.StatusOK, resp)
+	c.Requests.Add(1)
+	server.WriteJSON(w, http.StatusOK, BackendsResponse{Version: c.fleet.generation(), Backends: c.Backends()})
 }
 
 func (c *Coordinator) handleBackendAdd(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
+	c.Requests.Add(1)
 	if c.baseCtx.Err() != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "coordinator shutting down"})
+		c.Fail(w, http.StatusServiceUnavailable, errors.New("coordinator shutting down"))
 		return
 	}
 	var req backendChangeRequest
-	if !c.decode(w, r, &req) {
+	if !c.Decode(w, r, &req) {
 		return
 	}
 	if req.URL == "" {
-		c.fail(w, http.StatusBadRequest, errors.New("missing backend url"))
+		c.Fail(w, http.StatusBadRequest, errors.New("missing backend url"))
 		return
 	}
 	b, err := c.registerBackend(req.URL)
@@ -215,10 +213,10 @@ func (c *Coordinator) handleBackendAdd(w http.ResponseWriter, r *http.Request) {
 		if c.urlInFleet(req.URL) || strings.Contains(err.Error(), "draining") {
 			status = http.StatusConflict
 		}
-		c.fail(w, status, err)
+		c.Fail(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, BackendChangeResponse{
+	server.WriteJSON(w, http.StatusCreated, BackendChangeResponse{
 		Backend: b.status(), Version: c.fleet.generation(),
 	})
 }
@@ -233,27 +231,27 @@ func (c *Coordinator) urlInFleet(raw string) bool {
 }
 
 func (c *Coordinator) handleBackendRemove(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
+	c.Requests.Add(1)
 	raw := r.URL.Query().Get("url")
 	if raw == "" {
 		var req backendChangeRequest
-		if !c.decode(w, r, &req) {
+		if !c.Decode(w, r, &req) {
 			return
 		}
 		raw = req.URL
 	}
 	if raw == "" {
-		c.fail(w, http.StatusBadRequest, errors.New("missing backend url (query ?url= or JSON body)"))
+		c.Fail(w, http.StatusBadRequest, errors.New("missing backend url (query ?url= or JSON body)"))
 		return
 	}
 	_, clean, err := backendName(raw)
 	if err != nil {
-		c.fail(w, http.StatusBadRequest, err)
+		c.Fail(w, http.StatusBadRequest, err)
 		return
 	}
 	b, ok := c.fleet.get(clean)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no such backend %s", clean)})
+		c.Fail(w, http.StatusNotFound, fmt.Errorf("no such backend %s", clean))
 		return
 	}
 	// Bound the drain by the client's patience and one cell attempt:
@@ -261,7 +259,7 @@ func (c *Coordinator) handleBackendRemove(w http.ResponseWriter, r *http.Request
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.CellTimeout)
 	defer cancel()
 	drained := c.removeBackend(ctx, b)
-	writeJSON(w, http.StatusOK, BackendChangeResponse{
+	server.WriteJSON(w, http.StatusOK, BackendChangeResponse{
 		Backend: b.status(), Drained: drained, Version: c.fleet.generation(),
 	})
 }

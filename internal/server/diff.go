@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 
-	"zbp/internal/core"
 	"zbp/internal/equiv"
 )
 
@@ -57,32 +55,12 @@ type DiffResponse struct {
 // returning the resolved seed and the grid size. Shared by the sync
 // handler and async job submission.
 func (s *Server) normalizeDiff(req *DiffRequest) (uint64, int, error) {
-	if len(req.Configs) == 0 {
-		req.Configs = []string{"z15"}
-	}
 	seed := uint64(42)
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
-	if req.Instructions == 0 {
-		req.Instructions = s.cfg.DefaultInstructions
-	}
-	if req.Instructions < 0 || req.Instructions > s.cfg.MaxInstructions {
-		return 0, 0, fmt.Errorf("instructions %d out of range [1, %d]", req.Instructions, s.cfg.MaxInstructions)
-	}
-	cells := len(req.Configs) * len(req.Workloads)
-	if cells == 0 {
-		return 0, 0, errors.New("empty diff grid: need workloads")
-	}
-	if cells > s.cfg.MaxSweepCells {
-		return 0, 0, fmt.Errorf("diff grid has %d cells, limit %d", cells, s.cfg.MaxSweepCells)
-	}
-	for _, name := range req.Configs {
-		if _, err := core.ByName(name); err != nil {
-			return 0, 0, err
-		}
-	}
-	if err := s.resolveWorkloads(sliceRefs(req.Workloads)...); err != nil {
+	cells, err := s.normalizeGrid("diff", &req.Configs, req.Workloads, 1, &req.Instructions)
+	if err != nil {
 		return 0, 0, err
 	}
 	known := map[string]bool{}
@@ -97,54 +75,31 @@ func (s *Server) normalizeDiff(req *DiffRequest) (uint64, int, error) {
 	return seed, cells, nil
 }
 
-func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req DiffRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	seed, _, err := s.normalizeDiff(&req)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	grid := equiv.Grid(req.Configs, req.Workloads, seed, req.Instructions)
-	opts := equiv.Options{Checks: req.Checks, Perturb: req.Perturb}
-	var results []equiv.CellResult
-	submitErr := s.enqueue(ctx, func(ctx context.Context) {
-		// Like sweeps, the whole grid occupies one queue slot;
-		// parallelism 1 keeps simulation concurrency at the worker
-		// count.
-		results = equiv.CheckGrid(ctx, grid, opts, 1)
-	})
-	if s.replyQueueError(w, submitErr) {
-		return
-	}
-	if results == nil {
-		// Skipped while queued.
-		s.replyRunError(w, ctx.Err())
-		return
-	}
-
-	resp := DiffResponse{Cells: make([]DiffCell, len(results))}
-	for i, cr := range results {
-		cell := diffCellOf(cr)
-		if !cell.OK {
-			resp.Divergences++
-			s.diffDivergences.Add(1)
+// diff runs the harness through the executor and tallies divergences.
+// A patient caller (a job) waits out a full local queue.
+func (s *Server) diff(ctx context.Context, req DiffRequest, seed uint64, patient bool, onCell func(DiffCell)) (DiffResponse, error) {
+	for {
+		cells, err := s.exec.Diff(ctx, req, seed, onCell)
+		if err == nil {
+			resp := DiffResponse{Cells: cells}
+			for _, c := range cells {
+				if !c.OK {
+					resp.Divergences++
+					s.DiffDivergences.Add(1)
+				}
+			}
+			return resp, nil
 		}
-		resp.Cells[i] = cell
+		if !patient || !errors.Is(err, errQueueFull) {
+			return DiffResponse{}, err
+		}
+		if err := pause(ctx); err != nil {
+			return DiffResponse{}, err
+		}
 	}
-	s.completed.Add(1)
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// diffCellOf converts one harness cell result to the API shape
-// (shared by the sync handler and the async diff job).
+// diffCellOf converts one harness cell result to the API shape.
 func diffCellOf(cr equiv.CellResult) DiffCell {
 	cell := DiffCell{
 		Config:   cr.Cell.Config,

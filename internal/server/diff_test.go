@@ -133,16 +133,16 @@ func TestRetryAfterDerivation(t *testing.T) {
 	if got := s.retryAfterSeconds(); got != 1 {
 		t.Errorf("no samples: Retry-After %d, want 1", got)
 	}
-	s.observeRun(3 * time.Second)
+	loc(s).observeRun(3 * time.Second)
 	if got := s.retryAfterSeconds(); got != 3 {
 		t.Errorf("after one 3s task (empty queue): Retry-After %d, want 3", got)
 	}
 	// EWMA smooths rather than tracks the last sample: 3s + (11s-3s)/8.
-	s.observeRun(11 * time.Second)
+	loc(s).observeRun(11 * time.Second)
 	if got := s.retryAfterSeconds(); got != 4 {
 		t.Errorf("after smoothing an 11s task: Retry-After %d, want 4", got)
 	}
-	s.observeRun(10 * time.Hour)
+	loc(s).observeRun(10 * time.Hour)
 	if got := s.retryAfterSeconds(); got != 60 {
 		t.Errorf("pathological estimate: Retry-After %d, want the 60s clamp", got)
 	}
@@ -153,7 +153,7 @@ func TestRetryAfterDerivation(t *testing.T) {
 // queued work instead of the old hardcoded "1".
 func TestQueueFullRetryAfterScales(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	s.observeRun(5 * time.Second)
+	loc(s).observeRun(5 * time.Second)
 
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -161,7 +161,7 @@ func TestQueueFullRetryAfterScales(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = s.q.submitWait(context.Background(), func(context.Context) { <-release })
+			_ = loc(s).q.submitWait(context.Background(), func(context.Context) { <-release })
 		}()
 	}
 	defer func() {
@@ -169,8 +169,8 @@ func TestQueueFullRetryAfterScales(t *testing.T) {
 		wg.Wait()
 	}()
 	waitFor(t, 5*time.Second, func() bool {
-		return s.q.depth() == 1
-	}, func() string { return fmt.Sprintf("queue depth %d", s.q.depth()) })
+		return loc(s).q.depth() == 1
+	}, func() string { return fmt.Sprintf("queue depth %d", loc(s).q.depth()) })
 
 	resp, body := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Workload: "loops", Instructions: 10_000})
 	if resp.StatusCode != http.StatusTooManyRequests {

@@ -6,26 +6,24 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"zbp/internal/equiv"
 	"zbp/internal/jobs"
 	"zbp/internal/metrics"
 	"zbp/internal/rcache"
 )
 
 // Async job API. A job is a simulate/sweep/diff request that runs
-// outside the submitting HTTP request: submission validates and
-// answers immediately with a job ID, a runner goroutine takes one
-// bounded-queue slot (the same backpressure sync requests obey), and
-// clients poll GET /v1/jobs/{id} or follow the JSONL event stream.
+// outside the submitting HTTP request: submission validates, admits
+// and answers immediately with a job ID, a runner goroutine resolves
+// the cells through the executor (waiting out a full local queue
+// rather than failing — the client already holds an ID), and clients
+// poll GET /v1/jobs/{id} or follow the JSONL event stream.
 //
-// Simulate and sweep cells route through the content-addressed result
-// cache: the cell spec is hashed (rcache.NewKey) and previously
-// computed cells are served without executing a single simulated
-// cycle. Diff jobs never cache — the harness's whole point is to
-// recompute.
+// Simulate and sweep cells route through the result cache; diff jobs
+// never cache — the harness's whole point is to recompute.
 
 // JobRequest is the POST /v1/jobs body: a kind plus exactly one
 // matching payload. Kind may be omitted when exactly one payload is
@@ -53,13 +51,16 @@ type jobSpec struct {
 	simulate SimulateRequest
 	sweep    SweepRequest
 	diff     DiffRequest
-	seed     uint64 // resolved seed for simulate/diff kinds
+	cell     rcache.CellSpec // the simulate kind's cell
+	seed     uint64          // the diff kind's seed
+	cells    int
 	noCache  bool
 }
 
-// cellEvent is the JSONL progress line published after every finished
-// simulate/sweep cell.
-type cellEvent struct {
+// CellEvent is the JSONL progress line published after every finished
+// simulate or sweep cell. Backend and Hedged attribute fleet cells; a
+// single box leaves them out.
+type CellEvent struct {
 	Type      string `json:"type"` // "cell"
 	Index     int    `json:"index"`
 	Done      int    `json:"done"`
@@ -68,16 +69,17 @@ type cellEvent struct {
 	Workload  string `json:"workload"`
 	Workload2 string `json:"workload2,omitempty"`
 	Seed      uint64 `json:"seed"`
-	// Cached marks a cell served from the result cache (zero simulated
-	// cycles).
+	// Cached marks a cell served without a simulation.
 	Cached       bool    `json:"cached"`
+	Backend      string  `json:"backend,omitempty"`
+	Hedged       bool    `json:"hedged,omitempty"`
 	Instructions int64   `json:"instructions,omitempty"`
 	Cycles       int64   `json:"cycles,omitempty"`
 	MPKI         float64 `json:"mpki"`
 	IPC          float64 `json:"ipc"`
 	Accuracy     float64 `json:"accuracy"`
 	Error        string  `json:"error,omitempty"`
-	// RunSecondsEWMA is the server's smoothed per-task duration at
+	// RunSecondsEWMA is the executor's smoothed per-cell duration at
 	// publish time, so a streaming client can project the remaining
 	// wall time of the sweep.
 	RunSecondsEWMA float64 `json:"run_seconds_ewma"`
@@ -101,35 +103,38 @@ type diffCellEvent struct {
 // --- handlers ---------------------------------------------------------
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
+	s.Requests.Add(1)
 	if s.baseCtx.Err() != nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
+		WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
 		return
 	}
 	var req JobRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
-	spec, cells, err := s.planJob(&req)
+	spec, err := s.planJob(&req)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		s.Fail(w, http.StatusBadRequest, err)
 		return
 	}
-	j, err := s.jobs.Create(spec.kind, cells)
+	if !s.admit(w, spec.cells) {
+		return
+	}
+	j, err := s.jobs.Create(spec.kind, spec.cells)
 	if err != nil {
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "job table full, retry later"})
+		// The job never runs, so its admission tokens go back: a client
+		// retrying against a full table must not drain the bucket.
+		if s.bucket != nil {
+			s.bucket.refund(float64(spec.cells))
+		}
+		s.reject(w, s.retryAfterSeconds(), "job table full, retry later")
 		return
 	}
-	s.jobsSubmitted.Add(1)
+	s.JobsSubmitted.Add(1)
 
 	timeout := s.cfg.MaxTimeout
 	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+		timeout = min(time.Duration(req.TimeoutMs)*time.Millisecond, timeout)
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	j.SetCancel(cancel)
@@ -137,82 +142,68 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	go s.runJob(ctx, cancel, j, spec)
 
 	w.Header().Set("Location", "/v1/jobs/"+j.ID())
-	writeJSON(w, http.StatusCreated, j.Snapshot())
+	WriteJSON(w, http.StatusCreated, j.Snapshot())
 }
 
 // planJob validates the request into an executable spec, reusing the
 // same normalization the sync endpoints apply.
-func (s *Server) planJob(req *JobRequest) (jobSpec, int, error) {
+func (s *Server) planJob(req *JobRequest) (jobSpec, error) {
 	set := 0
-	if req.Simulate != nil {
-		set++
-	}
-	if req.Sweep != nil {
-		set++
-	}
-	if req.Diff != nil {
-		set++
+	for _, p := range []bool{req.Simulate != nil, req.Sweep != nil, req.Diff != nil} {
+		if p {
+			set++
+		}
 	}
 	if set != 1 {
-		return jobSpec{}, 0, fmt.Errorf("need exactly one of simulate/sweep/diff payloads, have %d", set)
+		return jobSpec{}, fmt.Errorf("need exactly one of simulate/sweep/diff payloads, have %d", set)
 	}
-	spec := jobSpec{noCache: req.NoCache}
+	spec := jobSpec{noCache: req.NoCache, cells: 1}
+	var err error
 	switch {
 	case req.Simulate != nil:
-		if req.Kind != "" && req.Kind != "simulate" {
-			return jobSpec{}, 0, fmt.Errorf("kind %q does not match the simulate payload", req.Kind)
-		}
-		seed, err := s.normalizeSimulate(req.Simulate)
-		if err != nil {
-			return jobSpec{}, 0, err
-		}
-		spec.kind, spec.simulate, spec.seed = "simulate", *req.Simulate, seed
-		return spec, 1, nil
+		spec.kind = "simulate"
+		spec.cell, err = s.normalizeSimulate(req.Simulate)
+		spec.simulate = *req.Simulate
 	case req.Sweep != nil:
-		if req.Kind != "" && req.Kind != "sweep" {
-			return jobSpec{}, 0, fmt.Errorf("kind %q does not match the sweep payload", req.Kind)
-		}
-		cells, err := s.normalizeSweep(req.Sweep)
-		if err != nil {
-			return jobSpec{}, 0, err
-		}
-		spec.kind, spec.sweep = "sweep", *req.Sweep
-		return spec, cells, nil
+		spec.kind = "sweep"
+		spec.cells, err = s.normalizeSweep(req.Sweep)
+		spec.sweep = *req.Sweep
 	default:
-		if req.Kind != "" && req.Kind != "diff" {
-			return jobSpec{}, 0, fmt.Errorf("kind %q does not match the diff payload", req.Kind)
-		}
-		seed, cells, err := s.normalizeDiff(req.Diff)
-		if err != nil {
-			return jobSpec{}, 0, err
-		}
-		spec.kind, spec.diff, spec.seed = "diff", *req.Diff, seed
-		return spec, cells, nil
+		spec.kind = "diff"
+		spec.seed, spec.cells, err = s.normalizeDiff(req.Diff)
+		spec.diff = *req.Diff
 	}
+	if req.Kind != "" && req.Kind != spec.kind {
+		return jobSpec{}, fmt.Errorf("kind %q does not match the %s payload", req.Kind, spec.kind)
+	}
+	return spec, err
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	j, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job (unknown ID or evicted after TTL)"})
-		return
+	if j, ok := s.lookupJob(w, r); ok {
+		WriteJSON(w, http.StatusOK, j.Snapshot())
 	}
-	writeJSON(w, http.StatusOK, j.Snapshot())
 }
 
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
+	if j, ok := s.lookupJob(w, r); ok {
+		// Cancel fires the job's context cancel with no locks held; the
+		// runner observes it cooperatively (sim.RunCtx polls) and the
+		// job transitions to canceled asynchronously.
+		j.Cancel(s.role.Now(), "canceled by client")
+		WriteJSON(w, http.StatusOK, j.Snapshot())
+	}
+}
+
+// lookupJob counts a job request and finds its job, answering 404
+// itself when the ID is unknown or evicted.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
+	s.Requests.Add(1)
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job (unknown ID or evicted after TTL)"})
-		return
+		WriteJSON(w, http.StatusNotFound, errorResponse{Error: "no such job (unknown ID or evicted after TTL)"})
 	}
-	// Cancel fires the job's context cancel with no locks held; the
-	// runner observes it cooperatively (sim.RunCtx polls) and the
-	// job transitions to canceled asynchronously.
-	j.Cancel(s.cfg.now(), "canceled by client")
-	writeJSON(w, http.StatusOK, j.Snapshot())
+	return j, ok
 }
 
 // handleJobEvents streams the job's event history and then live
@@ -228,10 +219,8 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 // only itself — publishers, cancellation, and the job table never
 // wait on it.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	j, ok := s.jobs.Get(r.PathValue("id"))
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such job (unknown ID or evicted after TTL)"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -272,54 +261,12 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 // --- execution --------------------------------------------------------
 
-// runJob drives one job through the bounded queue. The job table is
-// the admission control for async work, so a momentarily full queue
-// is waited out with a short backoff rather than surfaced as 429 —
-// the client already holds a job ID.
+// runJob drives one job to a terminal state. A job is running from
+// submission; its cells then wait for executor capacity.
 func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *jobs.Job, spec jobSpec) {
 	defer s.asyncWG.Done()
 	defer cancel()
-	for {
-		err := s.enqueue(ctx, func(ctx context.Context) { s.executeJob(ctx, j, spec) })
-		switch {
-		case err == nil:
-			// Ran, or was skipped because ctx died while queued; in the
-			// skip case executeJob never got to finish the job.
-			s.finishJob(j, ctx.Err())
-			return
-		case errors.Is(err, errQueueFull):
-			select {
-			case <-ctx.Done():
-				s.finishJob(j, ctx.Err())
-				return
-			case <-time.After(25 * time.Millisecond):
-			}
-		default: // shutting down
-			s.finishJob(j, errShuttingDown)
-			return
-		}
-	}
-}
-
-// finishJob closes out a job that did not finish itself (skipped
-// while queued, canceled, refused by a closing queue). A no-op when
-// executeJob already reached a terminal state.
-func (s *Server) finishJob(j *jobs.Job, err error) {
-	switch {
-	case err == nil:
-		j.Finish(s.cfg.now(), jobs.Failed, "job runner exited without a result", nil)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		j.Finish(s.cfg.now(), jobs.Canceled, err.Error(), nil)
-	case errors.Is(err, errShuttingDown):
-		j.Finish(s.cfg.now(), jobs.Canceled, "server shutting down", nil)
-	default:
-		j.Finish(s.cfg.now(), jobs.Failed, err.Error(), nil)
-	}
-}
-
-// executeJob runs inside the job's queue slot.
-func (s *Server) executeJob(ctx context.Context, j *jobs.Job, spec jobSpec) {
-	if !j.Start(s.cfg.now()) {
+	if !j.Start(s.role.Now()) {
 		return
 	}
 	var (
@@ -331,39 +278,129 @@ func (s *Server) executeJob(ctx context.Context, j *jobs.Job, spec jobSpec) {
 		result, err = s.runSimulateJob(ctx, j, spec)
 	case "sweep":
 		result, err = s.runSweepJob(ctx, j, spec)
-	case "diff":
-		result, err = s.runDiffJob(ctx, j, spec)
 	default:
-		err = fmt.Errorf("unknown job kind %q", spec.kind)
+		result, err = s.runDiffJob(ctx, j, spec)
 	}
-	if err != nil {
-		s.finishJob(j, err)
-		return
+	s.finishJob(j, result, err)
+}
+
+// finishJob moves a job to its terminal state: done with its result,
+// canceled (by the client, its deadline or shutdown), or failed.
+func (s *Server) finishJob(j *jobs.Job, result []byte, err error) {
+	now := s.role.Now()
+	switch {
+	case err == nil:
+		s.Completed.Add(1)
+		j.Finish(now, jobs.Done, "", result)
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		s.Canceled.Add(1)
+		j.Finish(now, jobs.Canceled, err.Error(), nil)
+	case errors.Is(err, errShuttingDown):
+		s.Canceled.Add(1)
+		j.Finish(now, jobs.Canceled, "server shutting down", nil)
+	default:
+		s.Failed.Add(1)
+		j.Finish(now, jobs.Failed, err.Error(), nil)
 	}
-	j.Finish(s.cfg.now(), jobs.Done, "", result)
 }
 
 func (s *Server) runSimulateJob(ctx context.Context, j *jobs.Job, spec jobSpec) ([]byte, error) {
-	req := spec.simulate
-	cell := rcache.CellSpec{
-		Config: req.Config, Workload: req.Workload, Workload2: req.Workload2,
-		Seed: spec.seed, Instructions: req.Instructions,
-	}
-	stats, cached, err := s.cachedCell(ctx, cell, spec.noCache)
+	resp, err := s.simulate(ctx, spec.simulate, spec.cell, spec.noCache, j)
 	if err != nil {
 		return nil, err
 	}
-	j.CellDone(cached)
-	snap, sum, err := Summarize(cell, stats)
+	return json.Marshal(resp)
+}
+
+func (s *Server) runSweepJob(ctx context.Context, j *jobs.Job, spec jobSpec) ([]byte, error) {
+	resp, err := s.runGrid(ctx, spec.sweep, spec.noCache, true, func(ev CellEvent) {
+		if ev.Error == "" {
+			j.CellDone(ev.Cached)
+		}
+		j.Publish(ev)
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.publishCell(j, 0, 1, cell, cached, sum, "")
+	// Compact marshal: the job result bytes are the same on every role.
+	return json.Marshal(resp)
+}
+
+func (s *Server) runDiffJob(ctx context.Context, j *jobs.Job, spec jobSpec) ([]byte, error) {
+	i := 0
+	resp, err := s.diff(ctx, spec.diff, spec.seed, true, func(dc DiffCell) {
+		j.CellDone(false)
+		j.Publish(diffCellEvent{
+			Type: "diff_cell", Index: i, Done: i + 1, Total: spec.cells,
+			Config: dc.Config, Workload: dc.Workload, Seed: dc.Seed,
+			Checks: dc.Checks, OK: dc.OK, Findings: len(dc.Findings), Error: dc.Error,
+		})
+		i++
+	})
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(resp)
+}
+
+// --- cells and grids --------------------------------------------------
+
+// execCell resolves one cell through the result cache and counts it. A
+// patient caller (a job) waits out a full local queue; a sync request
+// answers it with 429.
+func (s *Server) execCell(ctx context.Context, cell rcache.CellSpec, noCache, patient bool) (Outcome, error) {
+	for {
+		out, err := s.cache.Exec(ctx, cell, noCache)
+		if err == nil {
+			s.Cells.Add(1)
+			if out.Cached {
+				s.CellsCached.Add(1)
+			}
+			return out, nil
+		}
+		if !patient || !errors.Is(err, errQueueFull) {
+			return Outcome{}, err
+		}
+		if err := pause(ctx); err != nil {
+			return Outcome{}, err
+		}
+	}
+}
+
+// pause is a job's short backoff before retrying a full queue.
+func pause(ctx context.Context) error {
+	t := time.NewTimer(25 * time.Millisecond)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
+// simulate resolves one cell and shapes it as the simulate response. A
+// job (non-nil j) waits out a full queue and publishes the cell event.
+func (s *Server) simulate(ctx context.Context, req SimulateRequest, cell rcache.CellSpec, noCache bool, j *jobs.Job) (SimulateResponse, error) {
+	out, err := s.execCell(ctx, cell, noCache, j != nil)
+	if err != nil {
+		return SimulateResponse{}, err
+	}
+	snap, sum, err := Summarize(cell, out.Stats)
+	if err != nil {
+		return SimulateResponse{}, err
+	}
+	if j != nil {
+		j.CellDone(out.Cached)
+		ev := s.cellEvent(cell, out, sum)
+		ev.Done, ev.Total = 1, 1
+		j.Publish(ev)
+	}
 	resp := SimulateResponse{
-		Config:       req.Config,
-		Workload:     req.Workload,
-		Workload2:    req.Workload2,
-		Seed:         spec.seed,
+		Config:       cell.Config,
+		Workload:     cell.Workload,
+		Workload2:    cell.Workload2,
+		Seed:         cell.Seed,
 		Instructions: sum.Instructions,
 		Branches:     sum.Branches,
 		Cycles:       sum.Cycles,
@@ -374,154 +411,129 @@ func (s *Server) runSimulateJob(ctx context.Context, j *jobs.Job, spec jobSpec) 
 	if req.FullStats {
 		resp.Stats = snap
 	}
-	return json.Marshal(resp)
+	return resp, nil
 }
 
-func (s *Server) runSweepJob(ctx context.Context, j *jobs.Job, spec jobSpec) ([]byte, error) {
-	req := spec.sweep
-	total := len(req.Configs) * len(req.Workloads) * len(req.Seeds)
-	resp := SweepResponse{Cells: make([]SweepCell, 0, total)}
-	i := 0
-	for _, cfgName := range req.Configs {
+func (s *Server) cellEvent(cell rcache.CellSpec, out Outcome, sum CellSummary) CellEvent {
+	return CellEvent{
+		Type: "cell", Config: cell.Config, Workload: cell.Workload, Workload2: cell.Workload2,
+		Seed: cell.Seed, Cached: out.Cached, Backend: out.Backend, Hedged: out.Hedged,
+		Instructions: sum.Instructions, Cycles: sum.Cycles,
+		MPKI: sum.MPKI, IPC: sum.IPC, Accuracy: sum.Accuracy,
+		RunSecondsEWMA: s.exec.RunSecondsEWMA(),
+	}
+}
+
+// Sweep resolves a validated grid the way a sweep job does; onCell (if
+// set) sees each finished cell in completion order.
+func (s *Server) Sweep(ctx context.Context, req SweepRequest, noCache bool, onCell func(CellEvent)) (SweepResponse, error) {
+	return s.runGrid(ctx, req, noCache, true, onCell)
+}
+
+// runGrid resolves every cell of a sweep grid, the role's GridWidth at
+// a time: one by one on a single box (one worker per sweep, events in
+// grid order), all at once on a fleet. Rows are position-assigned in
+// grid order — configs outermost, seeds innermost — and derived from
+// canonical stats through Summarize, so the response marshals the same
+// bytes on every role. A failed cell is its row's error; the grid as a
+// whole fails only when ctx dies or the local queue refuses a sync
+// request. onCell calls are serialized, with Done increasing.
+func (s *Server) runGrid(ctx context.Context, req SweepRequest, noCache, patient bool, onCell func(CellEvent)) (SweepResponse, error) {
+	var cells []rcache.CellSpec
+	for _, config := range req.Configs {
 		for _, wl := range req.Workloads {
 			for _, seed := range req.Seeds {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				cell := rcache.CellSpec{
-					Config: cfgName, Workload: wl, Seed: seed, Instructions: req.Instructions,
-				}
-				row := SweepCell{Config: cfgName, Workload: wl, Seed: seed}
-				stats, cached, err := s.cachedCell(ctx, cell, spec.noCache)
-				switch {
-				case err != nil && ctx.Err() != nil:
-					// Cancellation, not a cell failure: stop the sweep.
-					return nil, ctx.Err()
-				case err != nil:
-					row.Error = err.Error()
-					resp.Errors++
-					s.sweepCellErrors.Add(1)
-					s.publishCell(j, i, total, cell, false, CellSummary{}, row.Error)
-				default:
-					_, sum, serr := Summarize(cell, stats)
-					if serr != nil {
-						return nil, serr
-					}
-					row.Instructions = sum.Instructions
-					row.Cycles = sum.Cycles
-					row.MPKI = sum.MPKI
-					row.IPC = sum.IPC
-					row.Accuracy = sum.Accuracy
-					j.CellDone(cached)
-					s.publishCell(j, i, total, cell, cached, sum, "")
-				}
-				resp.Cells = append(resp.Cells, row)
-				i++
+				cells = append(cells, rcache.CellSpec{
+					Config: config, Workload: wl, Seed: seed, Instructions: req.Instructions,
+				})
 			}
 		}
 	}
-	return json.Marshal(resp)
-}
-
-func (s *Server) runDiffJob(ctx context.Context, j *jobs.Job, spec jobSpec) ([]byte, error) {
-	req := spec.diff
-	grid := equiv.Grid(req.Configs, req.Workloads, spec.seed, req.Instructions)
-	opts := equiv.Options{Checks: req.Checks, Perturb: req.Perturb}
-	resp := DiffResponse{Cells: make([]DiffCell, 0, len(grid))}
-	for i, cell := range grid {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	rows := make([]SweepCell, len(cells))
+	var (
+		next atomic.Int64
+		mu   sync.Mutex // serializes onCell and guards done and stop
+		done int
+		stop error
+	)
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(cells); i = int(next.Add(1) - 1) {
+			var ev CellEvent
+			var err error
+			rows[i], ev, err = s.gridCell(ctx, cells[i], noCache, patient)
+			mu.Lock()
+			if stop == nil {
+				stop = err
+			}
+			if stop == nil && onCell != nil {
+				done++
+				ev.Index, ev.Done, ev.Total = i, done, len(cells)
+				onCell(ev)
+			}
+			halt := stop != nil
+			mu.Unlock()
+			if halt {
+				return
+			}
 		}
-		cr := equiv.CheckCell(ctx, cell, opts)
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+	}
+	width := s.role.GridWidth
+	if width <= 0 || width > len(cells) {
+		width = len(cells)
+	}
+	var wg sync.WaitGroup
+	wg.Add(width)
+	for range width {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
+	if stop != nil {
+		return SweepResponse{}, stop
+	}
+	resp := SweepResponse{Cells: rows}
+	for _, row := range rows {
+		if row.Error != "" {
+			resp.Errors++
 		}
-		dc := diffCellOf(cr)
-		if !dc.OK {
-			resp.Divergences++
-			s.diffDivergences.Add(1)
-		}
-		resp.Cells = append(resp.Cells, dc)
-		j.CellDone(false)
-		j.Publish(diffCellEvent{
-			Type: "diff_cell", Index: i, Done: i + 1, Total: len(grid),
-			Config: dc.Config, Workload: dc.Workload, Seed: dc.Seed,
-			Checks: dc.Checks, OK: dc.OK, Findings: len(dc.Findings), Error: dc.Error,
-		})
 	}
-	return json.Marshal(resp)
+	return resp, nil
 }
 
-// publishCell emits one cell progress event.
-func (s *Server) publishCell(j *jobs.Job, i, total int, cell rcache.CellSpec, cached bool, sum CellSummary, errMsg string) {
-	j.Publish(cellEvent{
-		Type: "cell", Index: i, Done: i + 1, Total: total,
-		Config: cell.Config, Workload: cell.Workload, Workload2: cell.Workload2,
-		Seed: cell.Seed, Cached: cached,
-		Instructions: sum.Instructions, Cycles: sum.Cycles,
-		MPKI: sum.MPKI, IPC: sum.IPC, Accuracy: sum.Accuracy,
-		Error:          errMsg,
-		RunSecondsEWMA: time.Duration(s.runNanosEWMA.Load()).Seconds(),
-	})
-}
-
-// computeCellStats runs one cell's simulation and renders the
-// canonical stats JSON — the bytes the result cache stores and the
-// equiv auditor re-derives. Truncated results are an error: a partial
-// run is neither cacheable nor a valid sweep row.
-func (s *Server) computeCellStats(ctx context.Context, cell rcache.CellSpec) ([]byte, error) {
-	res, err := s.runCellSim(ctx, cell)
-	if err != nil {
-		return nil, err
+// gridCell resolves one grid position into its row and event. Its error
+// is the whole grid's: ctx died, or the local queue refused the cell.
+// Any other failure is the row's own.
+func (s *Server) gridCell(ctx context.Context, cell rcache.CellSpec, noCache, patient bool) (SweepCell, CellEvent, error) {
+	row := SweepCell{Config: cell.Config, Workload: cell.Workload, Seed: cell.Seed}
+	out, err := s.execCell(ctx, cell, noCache, patient)
+	var sum CellSummary
+	if err == nil {
+		_, sum, err = Summarize(cell, out.Stats)
 	}
-	if res.Truncated {
-		return nil, errors.New("truncated result is not cacheable")
+	switch {
+	case err != nil && ctx.Err() != nil:
+		return row, CellEvent{}, ctx.Err()
+	case errors.Is(err, errQueueFull), errors.Is(err, errShuttingDown):
+		return row, CellEvent{}, err
+	case err != nil:
+		s.CellErrors.Add(1)
+		row.Error = err.Error()
+		ev := s.cellEvent(cell, Outcome{}, CellSummary{})
+		ev.Error = row.Error
+		return row, ev, nil
 	}
-	s.instructions.Add(res.Instructions())
-	if res.FastCore {
-		s.fastCoreRuns.Add(1)
-	}
-	return res.StatsJSON()
-}
-
-// cachedCell returns the canonical stats JSON for one cell, serving
-// from the content-addressed cache when possible. cached reports that
-// no simulation ran for this call (memory/disk hit or coalesced onto
-// a concurrent identical compute). Sampled hits are handed to the
-// background equiv auditor. The caller already holds a queue slot, so
-// misses compute directly.
-func (s *Server) cachedCell(ctx context.Context, cell rcache.CellSpec, noCache bool) ([]byte, bool, error) {
-	return s.cachedCellVia(ctx, cell, noCache, func(ctx context.Context) ([]byte, error) {
-		return s.computeCellStats(ctx, cell)
-	})
-}
-
-// cachedCellVia is cachedCell with the miss path abstracted: the jobs
-// runner computes in its own queue slot, while /v1/cell acquires a
-// slot per miss (so cache hits never consume queue capacity).
-func (s *Server) cachedCellVia(ctx context.Context, cell rcache.CellSpec, noCache bool, compute func(ctx context.Context) ([]byte, error)) ([]byte, bool, error) {
-	if noCache {
-		b, err := compute(ctx)
-		return b, false, err
-	}
-	key := rcache.NewKey(cell)
-	v, hit, err := s.cache.GetOrCompute(ctx, key, compute)
-	if err != nil {
-		return nil, false, err
-	}
-	if hit {
-		s.maybeAudit(key, cell, v)
-	}
-	return v, hit, nil
+	row.Instructions, row.Cycles = sum.Instructions, sum.Cycles
+	row.MPKI, row.IPC, row.Accuracy = sum.MPKI, sum.IPC, sum.Accuracy
+	return row, s.cellEvent(cell, out, sum), nil
 }
 
 // CellSummary is the headline numbers reconstructed from a canonical
 // stats payload — the cache stores only the canonical stats JSON (the
-// byte-exact form the equiv auditor re-derives), so API rows are a
-// pure function of it. Exported because the cluster coordinator
-// derives its aggregate rows from backend-returned stats through this
-// same function; sharing it is what makes a fleet sweep byte-identical
-// to a single-box one.
+// byte-exact form the auditor re-derives), so API rows are a pure
+// function of it. That is what makes a fleet sweep byte-identical to a
+// single-box one.
 type CellSummary struct {
 	Instructions int64
 	Branches     int64

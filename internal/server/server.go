@@ -1,29 +1,27 @@
-// Package server implements zbpd, the always-on simulation service:
-// an HTTP/JSON front end over the repository's trace-driven predictor
-// model. It turns the batch pipeline — materialize-once workload
-// cache, bounded runner pool, cancellable sim.RunCtx — into a
-// long-running process with per-request deadlines, queue backpressure
-// (HTTP 429), Prometheus metrics and graceful drain on shutdown.
+// Package server implements the HTTP/JSON front end over the
+// repository's trace-driven predictor model, and zbpd, the single-box
+// service built on it. The front end is one route table, one set of
+// request decoders and validators, admission control, the async job
+// table and its event streams, and grid assembly through Summarize. It
+// runs every cell through an Executor: zbpd's local executor is a
+// bounded queue in front of the simulator (local.go); the cluster
+// package's coordinator is a fleet of zbpd backends. A content-addressed
+// result cache with a sampled audit lane wraps either executor
+// (cache.go), so a repeated (config, workload, seed, budget) cell is
+// served in microseconds with zero simulated cycles on both roles.
 //
 // Endpoints:
 //
 //	POST   /v1/simulate          one run: config preset + workload + seed + budget
 //	POST   /v1/sweep             a small parameter grid, one result row per cell
-//	POST   /v1/cell              one cell through the result cache (coordinator protocol)
+//	POST   /v1/cell              one cell's canonical stats (the coordinator's backend protocol)
+//	POST   /v1/diff              the equivalence harness over a configs x workloads grid
 //	POST   /v1/jobs              submit an async simulate/sweep/diff job
 //	GET    /v1/jobs/{id}         job status, per-cell progress, result when done
 //	GET    /v1/jobs/{id}/events  JSONL progress stream (live + replayed history)
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
-//	GET    /healthz              liveness + queue occupancy
+//	GET    /healthz              liveness + load (the executor's own shape)
 //	GET    /metrics              live registry in Prometheus text format
-//
-// Async jobs route their cells through a content-addressed result
-// cache (internal/rcache): the simulator is deterministic, so a
-// repeated (config, workload, seed, budget) cell is served from the
-// cache in microseconds with zero simulated cycles. A background
-// auditor recomputes a sampled fraction of cache hits through
-// internal/equiv and reports divergence — poisoned, stale, or
-// corrupted entries — as zbpd_cache_audit_failures_total.
 package server
 
 import (
@@ -31,11 +29,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
-	"path/filepath"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,9 +41,6 @@ import (
 	"zbp/internal/jobs"
 	"zbp/internal/metrics"
 	"zbp/internal/rcache"
-	"zbp/internal/runner"
-	"zbp/internal/sim"
-	"zbp/internal/trace"
 	"zbp/internal/workload"
 )
 
@@ -166,80 +160,104 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the zbpd service state: the bounded queue, the shared
-// workload cache, the async job table with its result cache, and the
-// live metrics registry.
+// Outcome is one resolved cell: its canonical stats JSON plus where it
+// came from.
+type Outcome struct {
+	Stats []byte
+	// Cached reports that no simulation ran for this request.
+	Cached bool
+	// Backend names the fleet member that won the cell ("" on a single
+	// box or a cache hit); Hedged marks a winning hedge duplicate.
+	Backend string
+	Hedged  bool
+}
+
+// Executor runs cells for the front end. Exec is the hot path; every
+// other method is one of the few places a single box and a fleet
+// differ.
+type Executor interface {
+	// Exec resolves one validated cell. noCache asks every cache below
+	// the front end's own to recompute too.
+	Exec(ctx context.Context, cell rcache.CellSpec, noCache bool) (Outcome, error)
+	// Audit recomputes a sampled cache hit and describes each way the
+	// cached stats diverge from the recomputation.
+	Audit(ctx context.Context, cell rcache.CellSpec, stats []byte) ([]string, error)
+	// Diff runs the equivalence harness over a validated grid, handing
+	// each finished cell to onCell (if set) as it lands.
+	Diff(ctx context.Context, req DiffRequest, seed uint64, onCell func(DiffCell)) ([]DiffCell, error)
+	// TraceName admits one path-backed workload name (file:/spec:),
+	// returning the canonical form every cache and backend keys by.
+	TraceName(name string) (string, error)
+	// RetryAfter estimates when capacity frees up, for 429 answers.
+	RetryAfter() time.Duration
+	// RunSecondsEWMA is the smoothed per-cell duration reported in
+	// progress events.
+	RunSecondsEWMA() float64
+	// Health is the GET /healthz body.
+	Health() any
+	// Register adds the executor's own gauges to the registry.
+	Register(reg *metrics.Registry)
+	// Shutdown releases the executor once the front end is idle.
+	Shutdown()
+}
+
+// Role is what the front end needs to know about its executor's
+// deployment, fixed at construction.
+type Role struct {
+	// Service labels every metric; Prefix starts the cell, diff, cache
+	// and admission metric names ("zbpd." on a single box, "zbpd.coord_"
+	// on a coordinator).
+	Service, Prefix string
+	// GridWidth bounds the cells of one grid in flight at once; 0 runs
+	// the whole grid together.
+	GridWidth int
+	// FailStatus answers a failed cell that was not the caller's doing.
+	FailStatus int
+	// AdmitRate refills the admission bucket in cells per second, up to
+	// AdmitBurst; 0 admits everything.
+	AdmitRate  float64
+	AdmitBurst int
+	// Now is the clock of the job table and the admission bucket.
+	Now func() time.Time
+}
+
+// Counters are the front end's live tallies, exported on /metrics.
+type Counters struct {
+	Requests, Completed, Rejected, Canceled, Failed, JobsSubmitted atomic.Int64
+	// Cells counts resolved cells, CellsCached the ones served without
+	// a simulation, CellErrors the grid rows that carry an error.
+	Cells, CellsCached, CellErrors, DiffDivergences atomic.Int64
+}
+
+// Server is the /v1 front end over one executor: the route table, the
+// result cache, admission, and the async job table.
 type Server struct {
-	cfg   Config
-	mz    *workload.Materializer
-	q     *queue
-	mux   *http.ServeMux
-	reg   *metrics.Registry
-	jobs  *jobs.Store
-	cache *rcache.Cache
+	Counters
+
+	cfg    Config
+	exec   Executor
+	role   Role
+	cache  *ResultCache
+	bucket *bucket // nil when admission control is off
+	jobs   *jobs.Store
+	mux    *http.ServeMux
+	reg    *metrics.Registry
 
 	// baseCtx parents every async job context; Drain/Close cancel it,
 	// which cooperatively stops running jobs and the audit loop.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	// asyncWG tracks job-runner goroutines and the audit loop so
-	// Close can wait for them before draining the queue.
+	// Close can wait for them before shutting the executor down.
 	asyncWG sync.WaitGroup
-
-	// Live service counters, exported via /metrics. Atomics because
-	// handlers bump them concurrently with registry snapshots.
-	requests        atomic.Int64
-	completed       atomic.Int64
-	rejected        atomic.Int64
-	canceled        atomic.Int64
-	failed          atomic.Int64
-	instructions    atomic.Int64
-	inflight        atomic.Int64
-	sweepCellErrors atomic.Int64
-	diffDivergences atomic.Int64
-	// fastCoreRuns counts simulations that executed on the specialized
-	// no-sink replay loop (sim.Result.FastCore). The service never
-	// attaches an EventSink, so in a healthy deployment this tracks
-	// completed simulate runs plus sweep cells; a drop to zero means a
-	// code change knocked the hot path off the fast core.
-	fastCoreRuns atomic.Int64
-
-	// runNanosEWMA tracks a smoothed per-task queue-slot duration (ns),
-	// feeding the Retry-After estimate on 429 responses.
-	runNanosEWMA atomic.Int64
-
-	// Async job counters (terminal-state transitions live in the jobs
-	// store; these are the submission-side tallies).
-	jobsSubmitted atomic.Int64
-
-	// Cache-audit pipeline state; see audit.go.
-	auditHits     atomic.Int64
-	audits        atomic.Int64
-	auditFailures atomic.Int64
-	auditErrors   atomic.Int64
-	auditDropped  atomic.Int64
-	auditCh       chan auditTask
 }
 
-// New builds a server and starts its worker pool plus the cache-audit
-// loop. Callers must Close it (after draining the HTTP layer) to stop
-// the workers. The only construction failure is an unusable cache
-// directory.
-func New(cfg Config) (*Server, error) {
-	s := &Server{
-		cfg: cfg.withDefaults(),
-		mz:  workload.NewMaterializer(),
-	}
-	var err error
-	if s.cfg.TraceDir != "" {
-		// Absolutize once so the containment check in resolveTracePath is
-		// a plain prefix comparison regardless of the server's cwd.
-		s.cfg.TraceDir, err = filepath.Abs(s.cfg.TraceDir)
-		if err != nil {
-			return nil, fmt.Errorf("server: trace dir: %w", err)
-		}
-	}
-	s.cache, err = rcache.New(rcache.Config{
+// NewFrontend builds the front end over exec and starts its cache-audit
+// loop. Callers must Close it. The only construction failure is an
+// unusable cache directory.
+func NewFrontend(cfg Config, exec Executor, role Role) (*Server, error) {
+	s := &Server{cfg: cfg.withDefaults(), exec: exec, role: role}
+	cache, err := rcache.New(rcache.Config{
 		MaxMemBytes:  s.cfg.CacheMemBytes,
 		Dir:          s.cfg.CacheDir,
 		MaxDiskBytes: s.cfg.CacheDiskBytes,
@@ -247,18 +265,20 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.cache = &ResultCache{Cache: cache, next: exec, every: int64(s.cfg.AuditEvery)}
+	if role.AdmitRate > 0 {
+		s.bucket = newBucket(role.AdmitRate, float64(role.AdmitBurst), role.Now)
+	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.jobs = jobs.NewStore(jobs.Options{
-		MaxJobs: s.cfg.MaxJobs,
-		TTL:     s.cfg.JobTTL,
-		Now:     s.cfg.now,
-	})
-	s.q = newQueue(s.cfg.Workers, s.cfg.QueueDepth)
+	s.jobs = jobs.NewStore(jobs.Options{MaxJobs: s.cfg.MaxJobs, TTL: s.cfg.JobTTL, Now: role.Now})
 	s.reg = s.buildRegistry()
 	if s.cfg.AuditEvery > 0 {
-		s.auditCh = make(chan auditTask, 8)
+		s.cache.lane = make(chan auditTask, 8)
 		s.asyncWG.Add(1)
-		go s.auditLoop()
+		go func() {
+			defer s.asyncWG.Done()
+			s.cache.auditLoop(s.baseCtx)
+		}()
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
@@ -269,13 +289,25 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobDelete)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, s.exec.Health())
+	})
+	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		// On a write error the headers are gone; nothing more to do.
+		_ = s.reg.Snapshot().WritePrometheus(w)
+	})
 	return s, nil
 }
 
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// HandleFunc adds a role-specific route to the shared table.
+func (s *Server) HandleFunc(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
+
+// Cache returns the result cache and its audit tallies.
+func (s *Server) Cache() *ResultCache { return s.cache }
 
 // Drain begins shutdown of the async layer: new job submissions are
 // refused (503) and running jobs cancel cooperatively, which also
@@ -284,66 +316,61 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // grace budget.
 func (s *Server) Drain() { s.baseCancel() }
 
-// Close stops accepting queue submissions and waits for every
-// accepted simulation — sync requests and async jobs — to finish.
-// Call it after http.Server.Shutdown has drained the handlers.
+// Close waits for job runners and the audit loop, then shuts the
+// executor down, which finishes every accepted simulation. Call it
+// after http.Server.Shutdown has drained the handlers.
 func (s *Server) Close() {
 	s.baseCancel()
 	s.asyncWG.Wait()
-	s.q.close()
+	s.exec.Shutdown()
 }
 
 // buildRegistry wires the service gauges. Everything is a snapshot-time
 // gauge over an atomic, so scrapes are race-free against live traffic.
 func (s *Server) buildRegistry() *metrics.Registry {
 	reg := metrics.NewRegistry()
-	reg.Label("service", "zbpd")
-	gauge := func(name string, v *atomic.Int64) {
+	reg.Label("service", s.role.Service)
+	count := func(name string, v *atomic.Int64) {
 		reg.Gauge(name, func() float64 { return float64(v.Load()) })
 	}
-	gauge("zbpd.requests_total", &s.requests)
-	gauge("zbpd.completed_total", &s.completed)
-	gauge("zbpd.rejected_total", &s.rejected)
-	gauge("zbpd.canceled_total", &s.canceled)
-	gauge("zbpd.failed_total", &s.failed)
-	gauge("zbpd.instructions_total", &s.instructions)
-	gauge("zbpd.inflight", &s.inflight)
-	gauge("zbpd.sweep_cell_errors_total", &s.sweepCellErrors)
-	gauge("zbpd.diff_divergences_total", &s.diffDivergences)
-	gauge("zbpd.fast_core_runs_total", &s.fastCoreRuns)
-	reg.Gauge("zbpd.run_seconds_ewma", func() float64 {
-		return time.Duration(s.runNanosEWMA.Load()).Seconds()
-	})
-	reg.Gauge("zbpd.queue_depth", func() float64 { return float64(s.q.depth()) })
-	reg.Gauge("zbpd.queue_capacity", func() float64 { return float64(s.cfg.QueueDepth) })
-	reg.Gauge("zbpd.workers", func() float64 { return float64(s.cfg.Workers) })
-	reg.Gauge("zbpd.mat_traces", func() float64 { return float64(s.mz.Count()) })
-	reg.Gauge("zbpd.mat_bytes", func() float64 { return float64(s.mz.FootprintBytes()) })
+	fn := func(name string, f func() int64) {
+		reg.Gauge(name, func() float64 { return float64(f()) })
+	}
+	count("zbpd.requests_total", &s.Requests)
+	count("zbpd.completed_total", &s.Completed)
+	count("zbpd.rejected_total", &s.Rejected)
+	count("zbpd.canceled_total", &s.Canceled)
+	count("zbpd.failed_total", &s.Failed)
+	count("zbpd.jobs_submitted_total", &s.JobsSubmitted)
+	fn("zbpd.jobs_active", func() int64 { return int64(s.jobs.Active()) })
+	fn("zbpd.jobs_table", func() int64 { return int64(s.jobs.Len()) })
+	fn("zbpd.jobs_done_total", s.jobs.DoneCount)
+	fn("zbpd.jobs_failed_total", s.jobs.FailedCount)
+	fn("zbpd.jobs_canceled_total", s.jobs.CanceledCount)
+	fn("zbpd.jobs_evicted_total", s.jobs.Evicted)
 
-	// Async job table.
-	gauge("zbpd.jobs_submitted_total", &s.jobsSubmitted)
-	fn := func(name string, f func() float64) { reg.Gauge(name, f) }
-	fn("zbpd.jobs_active", func() float64 { return float64(s.jobs.Active()) })
-	fn("zbpd.jobs_table", func() float64 { return float64(s.jobs.Len()) })
-	fn("zbpd.jobs_done_total", func() float64 { return float64(s.jobs.DoneCount()) })
-	fn("zbpd.jobs_failed_total", func() float64 { return float64(s.jobs.FailedCount()) })
-	fn("zbpd.jobs_canceled_total", func() float64 { return float64(s.jobs.CanceledCount()) })
-	fn("zbpd.jobs_evicted_total", func() float64 { return float64(s.jobs.Evicted()) })
-
-	// Content-addressed result cache + its equiv-backed auditor.
-	fn("zbpd.cache_hits_total", func() float64 { return float64(s.cache.Hits()) })
-	fn("zbpd.cache_misses_total", func() float64 { return float64(s.cache.Misses()) })
-	fn("zbpd.cache_puts_total", func() float64 { return float64(s.cache.Puts()) })
-	fn("zbpd.cache_evictions_total", func() float64 { return float64(s.cache.Evictions()) })
-	fn("zbpd.cache_coalesced_total", func() float64 { return float64(s.cache.Coalesced()) })
-	fn("zbpd.cache_disk_hits_total", func() float64 { return float64(s.cache.DiskHits()) })
-	fn("zbpd.cache_disk_errors_total", func() float64 { return float64(s.cache.DiskErrors()) })
-	fn("zbpd.cache_entries", func() float64 { return float64(s.cache.Len()) })
-	fn("zbpd.cache_bytes", func() float64 { return float64(s.cache.MemBytes()) })
-	gauge("zbpd.cache_audits_total", &s.audits)
-	gauge("zbpd.cache_audit_failures_total", &s.auditFailures)
-	gauge("zbpd.cache_audit_errors_total", &s.auditErrors)
-	gauge("zbpd.cache_audit_dropped_total", &s.auditDropped)
+	p, c := s.role.Prefix, s.cache
+	count(p+"cells_total", &s.Cells)
+	count(p+"cells_cached_total", &s.CellsCached)
+	count(p+"cell_errors_total", &s.CellErrors)
+	count(p+"diff_divergences_total", &s.DiffDivergences)
+	fn(p+"cache_hits_total", c.Hits)
+	fn(p+"cache_misses_total", c.Misses)
+	fn(p+"cache_puts_total", c.Puts)
+	fn(p+"cache_evictions_total", c.Evictions)
+	fn(p+"cache_coalesced_total", c.Coalesced)
+	fn(p+"cache_disk_hits_total", c.DiskHits)
+	fn(p+"cache_disk_errors_total", c.DiskErrors)
+	fn(p+"cache_entries", func() int64 { return int64(c.Len()) })
+	fn(p+"cache_bytes", c.MemBytes)
+	count(p+"cache_audits_total", &c.Audits)
+	count(p+"cache_audit_failures_total", &c.AuditFailures)
+	count(p+"cache_audit_errors_total", &c.AuditErrors)
+	count(p+"cache_audit_dropped_total", &c.AuditDropped)
+	if s.bucket != nil {
+		reg.Gauge(p+"admit_tokens", s.bucket.available)
+	}
+	s.exec.Register(reg)
 	return reg
 }
 
@@ -421,263 +448,116 @@ type SweepResponse struct {
 	Errors int `json:"errors"`
 }
 
+// CellRequest is the POST /v1/cell body: a simulate request plus the
+// cache-bypass knob jobs already expose. /v1/cell is the coordinator's
+// backend protocol: a cache hit never takes a queue slot, a miss takes
+// one like a sync simulate (a full queue answers 429, which the
+// coordinator treats as a reroute signal), and the reply is the
+// canonical stats payload, so any replica — or a hedged duplicate —
+// returns byte-identical content.
+type CellRequest struct {
+	SimulateRequest
+	// NoCache forces recomputation and skips the result cache on both
+	// read and write.
+	NoCache bool `json:"no_cache,omitempty"`
+}
+
+// CellResponse is the POST /v1/cell reply.
+type CellResponse struct {
+	// Cached reports that no simulation ran for this request.
+	Cached bool `json:"cached"`
+	// Stats is the canonical schema-versioned stats JSON for the cell.
+	Stats json.RawMessage `json:"stats"`
+}
+
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// --- handlers ---------------------------------------------------------
+// --- sync handlers ----------------------------------------------------
 
-// normalizeSimulate applies request defaults in place and validates
-// against the server's limits, returning the resolved seed. Shared by
-// the synchronous handler and async job submission, so both paths
-// accept exactly the same requests.
-func (s *Server) normalizeSimulate(req *SimulateRequest) (uint64, error) {
-	if req.Config == "" {
-		req.Config = "z15"
+// serveSync is the shape of every sync route: decode, validate (plan
+// returns the grid size and the request's timeout), admit, run under
+// the request deadline, reply.
+func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, req any, plan func() (cells, timeoutMs int, err error), run func(ctx context.Context) (any, error)) {
+	s.Requests.Add(1)
+	if !s.Decode(w, r, req) {
+		return
 	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
+	cells, timeoutMs, err := plan()
+	if err != nil {
+		s.Fail(w, http.StatusBadRequest, err)
+		return
 	}
-	if req.Instructions == 0 {
-		req.Instructions = s.cfg.DefaultInstructions
+	if !s.admit(w, cells) {
+		return
 	}
-	if _, err := core.ByName(req.Config); err != nil {
-		return 0, err
+	ctx, cancel := s.requestContext(r, timeoutMs)
+	defer cancel()
+	resp, err := run(ctx)
+	if err != nil {
+		s.replyError(w, err)
+		return
 	}
-	if err := s.resolveWorkloads(&req.Workload, &req.Workload2); err != nil {
-		return 0, err
-	}
-	if req.Instructions < 0 || req.Instructions > s.cfg.MaxInstructions {
-		return 0, fmt.Errorf("instructions %d out of range [1, %d]", req.Instructions, s.cfg.MaxInstructions)
-	}
-	return seed, nil
+	s.Completed.Add(1)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req SimulateRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	seed, err := s.normalizeSimulate(&req)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	spec := rcache.CellSpec{
-		Config: req.Config, Workload: req.Workload, Workload2: req.Workload2,
-		Seed: seed, Instructions: req.Instructions,
-	}
 	var (
-		res    sim.Result
-		runErr error
+		req  SimulateRequest
+		cell rcache.CellSpec
 	)
-	submitErr := s.enqueue(ctx, func(ctx context.Context) {
-		res, runErr = s.runCellSim(ctx, spec)
+	s.serveSync(w, r, &req, func() (_, _ int, err error) {
+		cell, err = s.normalizeSimulate(&req)
+		return 1, req.TimeoutMs, err
+	}, func(ctx context.Context) (any, error) {
+		return s.simulate(ctx, req, cell, false, nil)
 	})
-	if s.replyQueueError(w, submitErr) {
-		return
-	}
-	if runErr == nil && ctx.Err() != nil {
-		// The task was skipped while queued: the deadline or the client
-		// beat the workers to it.
-		runErr = ctx.Err()
-	}
-	if runErr != nil {
-		s.replyRunError(w, runErr)
-		return
-	}
-	s.completed.Add(1)
-	s.instructions.Add(res.Instructions())
-	if res.FastCore {
-		s.fastCoreRuns.Add(1)
-	}
-	resp := SimulateResponse{
-		Config:       req.Config,
-		Workload:     req.Workload,
-		Workload2:    req.Workload2,
-		Seed:         seed,
-		Instructions: res.Instructions(),
-		Branches:     res.Branches(),
-		Cycles:       res.Cycles,
-		MPKI:         res.MPKI(),
-		IPC:          res.IPC(),
-		Accuracy:     res.Accuracy(),
-		Truncated:    res.Truncated,
-	}
-	if req.FullStats {
-		snap := res.StatsSnapshot()
-		resp.Stats = &snap
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// runCellSim materializes the cell's workload(s) through the shared
-// trace cache and runs one cancellable simulation. This is the single
-// compute path under the sync handlers, the async jobs, and the
-// result cache's misses. By convention Workload2 runs at Seed+1.
-func (s *Server) runCellSim(ctx context.Context, spec rcache.CellSpec) (sim.Result, error) {
-	gen, err := core.ByName(spec.Config)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	p, err := s.mz.Get(spec.Workload, spec.Seed, spec.Instructions)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	cur := p.Cursor()
-	srcs := []trace.Source{&cur}
-	if spec.Workload2 != "" {
-		p2, err := s.mz.Get(spec.Workload2, spec.Seed+1, spec.Instructions)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		cur2 := p2.Cursor()
-		srcs = append(srcs, &cur2)
-	}
-	return sim.New(sim.ForGeneration(gen), srcs).RunCtx(ctx, 0)
-}
-
-// normalizeSweep applies sweep defaults in place and validates,
-// returning the grid size. Shared by the sync handler and async job
-// submission.
-func (s *Server) normalizeSweep(req *SweepRequest) (int, error) {
-	if len(req.Configs) == 0 {
-		req.Configs = []string{"z15"}
-	}
-	if len(req.Seeds) == 0 {
-		req.Seeds = []uint64{42}
-	}
-	if req.Instructions == 0 {
-		req.Instructions = s.cfg.DefaultInstructions
-	}
-	if req.Instructions < 0 || req.Instructions > s.cfg.MaxInstructions {
-		return 0, fmt.Errorf("instructions %d out of range [1, %d]", req.Instructions, s.cfg.MaxInstructions)
-	}
-	cells := len(req.Configs) * len(req.Workloads) * len(req.Seeds)
-	if cells == 0 {
-		return 0, errors.New("empty sweep grid: need workloads")
-	}
-	if cells > s.cfg.MaxSweepCells {
-		return 0, fmt.Errorf("sweep grid has %d cells, limit %d", cells, s.cfg.MaxSweepCells)
-	}
-	if err := s.resolveWorkloads(sliceRefs(req.Workloads)...); err != nil {
-		return 0, err
-	}
-	for _, name := range req.Configs {
-		if _, err := core.ByName(name); err != nil {
-			return 0, err
-		}
-	}
-	return cells, nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	var req SweepRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	cells, err := s.normalizeSweep(&req)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	cfgs := make([]sim.Config, len(req.Configs))
-	for i, name := range req.Configs {
-		gen, _ := core.ByName(name) // validated above
-		cfgs[i] = sim.ForGeneration(gen)
-	}
-
-	type cellKey struct {
-		config   string
-		workload string
-		seed     uint64
-	}
-	keys := make([]cellKey, 0, cells)
-	jobs := make([]runner.Job, 0, cells)
-	for ci, cfg := range cfgs {
-		for _, wl := range req.Workloads {
-			for _, seed := range req.Seeds {
-				wl, seed := wl, seed
-				keys = append(keys, cellKey{req.Configs[ci], wl, seed})
-				jobs = append(jobs, runner.Job{
-					Name:   fmt.Sprintf("%s/%s/%d", req.Configs[ci], wl, seed),
-					Config: cfg,
-					// Lazy source: materialization happens inside the
-					// worker under the request context's queue slot,
-					// shared through the singleflight cache.
-					Source: func() ([]trace.Source, error) {
-						p, err := s.mz.Get(wl, seed, req.Instructions)
-						if err != nil {
-							return nil, err
-						}
-						c := p.Cursor()
-						return []trace.Source{&c}, nil
-					},
-					Instructions: req.Instructions,
-				})
-			}
-		}
-	}
-
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	var results []runner.Result
-	submitErr := s.enqueue(ctx, func(ctx context.Context) {
-		// The sweep occupies exactly one queue slot; Parallelism 1
-		// keeps total simulation concurrency equal to the worker
-		// count no matter how many cells the grid has.
-		pool := runner.Pool{Parallelism: 1}
-		results = pool.Run(ctx, jobs)
+	s.serveSync(w, r, &req, func() (int, int, error) {
+		cells, err := s.normalizeSweep(&req)
+		return cells, req.TimeoutMs, err
+	}, func(ctx context.Context) (any, error) {
+		return s.runGrid(ctx, req, false, false, nil)
 	})
-	if s.replyQueueError(w, submitErr) {
-		return
-	}
-	if results == nil {
-		// Skipped while queued.
-		s.replyRunError(w, ctx.Err())
-		return
-	}
-	resp := SweepResponse{Cells: make([]SweepCell, len(results))}
-	for i, r := range results {
-		cell := SweepCell{
-			Config:       keys[i].config,
-			Workload:     keys[i].workload,
-			Seed:         keys[i].seed,
-			Instructions: r.Res.Instructions(),
-			Cycles:       r.Res.Cycles,
-			MPKI:         r.Res.MPKI(),
-			IPC:          r.Res.IPC(),
-			Accuracy:     r.Res.Accuracy(),
-			Truncated:    r.Res.Truncated,
-		}
-		if r.Err != nil {
-			cell.Error = r.Err.Error()
-			resp.Errors++
-			s.sweepCellErrors.Add(1)
-		} else if r.Res.FastCore {
-			s.fastCoreRuns.Add(1)
-		}
-		resp.Cells[i] = cell
-	}
-	s.completed.Add(1)
-	for _, c := range resp.Cells {
-		s.instructions.Add(c.Instructions)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// Health is the GET /healthz body: liveness plus the load signals a
-// cluster coordinator's least-loaded router needs, as cheap JSON — no
-// Prometheus text parsing on the polling path. /metrics stays the
-// complete (and unchanged) surface; this is the hot subset.
+// handleCell is one decode plus one Exec: a cache hit never takes a
+// queue slot.
+func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
+	var (
+		req  CellRequest
+		cell rcache.CellSpec
+	)
+	s.serveSync(w, r, &req, func() (_, _ int, err error) {
+		cell, err = s.normalizeSimulate(&req.SimulateRequest)
+		return 1, req.TimeoutMs, err
+	}, func(ctx context.Context) (any, error) {
+		out, err := s.execCell(ctx, cell, req.NoCache, false)
+		return CellResponse{Cached: out.Cached, Stats: out.Stats}, err
+	})
+}
+
+func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
+	var (
+		req  DiffRequest
+		seed uint64
+	)
+	s.serveSync(w, r, &req, func() (cells, _ int, err error) {
+		seed, cells, err = s.normalizeDiff(&req)
+		return cells, req.TimeoutMs, err
+	}, func(ctx context.Context) (any, error) {
+		return s.diff(ctx, req, seed, false, nil)
+	})
+}
+
+// Health is the single box's GET /healthz body: liveness plus the load
+// signals a coordinator's least-loaded router needs, as cheap JSON — no
+// Prometheus text parsing on the polling path.
 type Health struct {
 	Status        string `json:"status"`
 	Workers       int    `json:"workers"`
@@ -689,161 +569,91 @@ type Health struct {
 	RunSecondsEWMA float64 `json:"run_seconds_ewma"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, Health{
-		Status:         "ok",
-		Workers:        s.cfg.Workers,
-		QueueDepth:     s.q.depth(),
-		QueueCapacity:  s.cfg.QueueDepth,
-		Inflight:       s.inflight.Load(),
-		RunSecondsEWMA: time.Duration(s.runNanosEWMA.Load()).Seconds(),
-	})
-}
+// --- validation -------------------------------------------------------
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.Snapshot().WritePrometheus(w); err != nil {
-		// Headers are gone; nothing more to do than drop the
-		// connection.
-		return
+// normalizeSimulate applies request defaults in place and validates
+// against the limits, returning the cell the request names. Shared by
+// simulate, /v1/cell and simulate jobs, so all accept exactly the same
+// requests.
+func (s *Server) normalizeSimulate(req *SimulateRequest) (rcache.CellSpec, error) {
+	if req.Config == "" {
+		req.Config = "z15"
 	}
-}
-
-// --- plumbing ---------------------------------------------------------
-
-// requestContext derives the simulation context: the request's own
-// context (canceled on client disconnect and server shutdown) bounded
-// by the effective timeout.
-func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	timeout := s.cfg.DefaultTimeout
-	if timeoutMs > 0 {
-		timeout = time.Duration(timeoutMs) * time.Millisecond
+	seed := uint64(42)
+	if req.Seed != nil {
+		seed = *req.Seed
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
+	if req.Instructions == 0 {
+		req.Instructions = s.cfg.DefaultInstructions
 	}
-	return context.WithTimeout(r.Context(), timeout)
+	if _, err := core.ByName(req.Config); err != nil {
+		return rcache.CellSpec{}, err
+	}
+	if err := s.resolveWorkloads(&req.Workload, &req.Workload2); err != nil {
+		return rcache.CellSpec{}, err
+	}
+	if err := s.checkInstructions(req.Instructions); err != nil {
+		return rcache.CellSpec{}, err
+	}
+	return rcache.CellSpec{
+		Config: req.Config, Workload: req.Workload, Workload2: req.Workload2,
+		Seed: seed, Instructions: req.Instructions,
+	}, nil
 }
 
-// enqueue pushes run through the bounded queue and tracks the inflight
-// gauge around it. Executed task durations feed the EWMA behind the
-// Retry-After estimate.
-func (s *Server) enqueue(ctx context.Context, run func(ctx context.Context)) error {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	return s.q.submitWait(ctx, func(ctx context.Context) {
-		start := time.Now()
-		run(ctx)
-		s.observeRun(time.Since(start))
-	})
+// normalizeSweep applies sweep defaults in place and validates,
+// returning the grid size.
+func (s *Server) normalizeSweep(req *SweepRequest) (int, error) {
+	if len(req.Seeds) == 0 {
+		req.Seeds = []uint64{42}
+	}
+	return s.normalizeGrid("sweep", &req.Configs, req.Workloads, len(req.Seeds), &req.Instructions)
 }
 
-// observeRun folds one task duration into the smoothed estimate
-// (alpha = 1/8). A CAS loop keeps concurrent workers from losing
-// updates; the estimate only steers Retry-After, so contention is
-// cheap and precision irrelevant.
-func (s *Server) observeRun(d time.Duration) {
-	for {
-		old := s.runNanosEWMA.Load()
-		var next int64
-		if old == 0 {
-			next = int64(d)
-		} else {
-			next = old + (int64(d)-old)/8
+// normalizeGrid fills the defaults of a configs x workloads x seeds
+// grid in place and validates it, returning its cell count.
+func (s *Server) normalizeGrid(kind string, configs *[]string, workloads []string, seeds int, instructions *int) (int, error) {
+	if len(*configs) == 0 {
+		*configs = []string{"z15"}
+	}
+	if *instructions == 0 {
+		*instructions = s.cfg.DefaultInstructions
+	}
+	if err := s.checkInstructions(*instructions); err != nil {
+		return 0, err
+	}
+	cells := len(*configs) * len(workloads) * seeds
+	if cells == 0 {
+		return 0, fmt.Errorf("empty %s grid: need workloads", kind)
+	}
+	if cells > s.cfg.MaxSweepCells {
+		return 0, fmt.Errorf("%s grid has %d cells, limit %d", kind, cells, s.cfg.MaxSweepCells)
+	}
+	for _, name := range *configs {
+		if _, err := core.ByName(name); err != nil {
+			return 0, err
 		}
-		if s.runNanosEWMA.CompareAndSwap(old, next) {
-			return
-		}
 	}
+	refs := make([]*string, len(workloads))
+	for i := range workloads {
+		refs[i] = &workloads[i]
+	}
+	return cells, s.resolveWorkloads(refs...)
 }
 
-// retryAfterSeconds estimates when a queue slot will open: the queued
-// work plus the incoming task, spread over the workers, at the smoothed
-// per-task duration (1s until the first task completes). Clamped to
-// [1, 60] so clients neither hammer a busy server nor give up on a
-// briefly-full queue.
-func (s *Server) retryAfterSeconds() int {
-	avg := time.Duration(s.runNanosEWMA.Load())
-	if avg <= 0 {
-		avg = time.Second
+func (s *Server) checkInstructions(n int) error {
+	if n < 0 || n > s.cfg.MaxInstructions {
+		return fmt.Errorf("instructions %d out of range [1, %d]", n, s.cfg.MaxInstructions)
 	}
-	est := time.Duration(s.q.depth()+1) * avg / time.Duration(s.cfg.Workers)
-	secs := int((est + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
-}
-
-// decode parses a size-limited JSON body, answering 400/413 itself.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		}
-		return false
-	}
-	return true
-}
-
-// replyQueueError answers queue overflow/shutdown submissions; it
-// reports whether it wrote a response.
-func (s *Server) replyQueueError(w http.ResponseWriter, err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, errQueueFull):
-		s.rejected.Add(1)
-		// Derived from the queued-work estimate, not a constant: a full
-		// queue of minute-long sweeps and a full queue of millisecond
-		// simulations deserve very different retry advice.
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "job queue full, retry later"})
-		return true
-	default:
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
-		return true
-	}
-}
-
-// replyRunError maps simulation errors onto status codes.
-func (s *Server) replyRunError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		s.canceled.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "simulation deadline exceeded"})
-	case errors.Is(err, context.Canceled):
-		// Client disconnect or server shutdown; the response is mostly
-		// for the log.
-		s.canceled.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "request canceled"})
-	default:
-		s.failed.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-	}
-}
-
-func (s *Server) fail(w http.ResponseWriter, code int, err error) {
-	s.failed.Add(1)
-	writeJSON(w, code, errorResponse{Error: err.Error()})
+	return nil
 }
 
 // resolveWorkloads validates workload names before a request consumes
-// a queue slot, rewriting them in place: generator names must be in the
-// registry, and path-backed names (file:/spec:) are gated on the
-// TraceDir allowlist and rewritten to their confined absolute form so
-// the cache, materializer, and audit all see one canonical name. Empty
-// names in the tail (unset workload2) are ignored, but the first name
-// is required.
+// capacity, rewriting them in place: generator names must be in the
+// registry, and path-backed names (file:/spec:) go through the
+// executor's TraceName, so the cache, the executor and the audit all
+// see one canonical name. Empty names in the tail (unset workload2) are
+// ignored, but the first name is required.
 func (s *Server) resolveWorkloads(names ...*string) error {
 	if len(names) == 0 || *names[0] == "" {
 		return errors.New("missing workload")
@@ -854,7 +664,7 @@ func (s *Server) resolveWorkloads(names ...*string) error {
 		switch {
 		case name == "":
 		case workload.PathBacked(name):
-			resolved, err := s.resolveTraceName(name)
+			resolved, err := s.exec.TraceName(name)
 			if err != nil {
 				return err
 			}
@@ -868,63 +678,100 @@ func (s *Server) resolveWorkloads(names ...*string) error {
 	return nil
 }
 
-// sliceRefs adapts a name slice for resolveWorkloads so rewrites land
-// back in the request.
-func sliceRefs(names []string) []*string {
-	refs := make([]*string, len(names))
-	for i := range names {
-		refs[i] = &names[i]
+// --- plumbing ---------------------------------------------------------
+
+// requestContext derives a sync request's context: the request's own
+// context (canceled on client disconnect and server shutdown) bounded
+// by the effective timeout.
+func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
+	timeout := s.cfg.DefaultTimeout
+	if timeoutMs > 0 {
+		timeout = time.Duration(timeoutMs) * time.Millisecond
 	}
-	return refs
+	return context.WithTimeout(r.Context(), min(timeout, s.cfg.MaxTimeout))
 }
 
-// resolveTraceName confines one path-backed workload name to the
-// TraceDir allowlist and returns it with the path absolutized. Spec
-// documents are additionally opened so every trace file they reference
-// is confined too — the spec itself being inside the directory does
-// not make its pointers trustworthy.
-func (s *Server) resolveTraceName(name string) (string, error) {
-	if s.cfg.TraceDir == "" {
-		return "", errors.New("file-backed workloads are disabled (start the server with a trace dir)")
+// admit charges the admission bucket one token per cell. On refusal it
+// answers 429 with a Retry-After that is the larger of the bucket's
+// refill horizon and the executor's own estimate.
+func (s *Server) admit(w http.ResponseWriter, cells int) bool {
+	if s.bucket == nil {
+		return true
 	}
-	prefix := workload.FilePrefix
-	if strings.HasPrefix(name, workload.SpecPrefix) {
-		prefix = workload.SpecPrefix
+	ok, wait := s.bucket.take(float64(cells))
+	if ok {
+		return true
 	}
-	abs, err := s.resolveTracePath(name[len(prefix):])
-	if err != nil {
-		return "", err
+	s.reject(w, max(clampSeconds(wait), s.retryAfterSeconds()), "admission limit reached, retry later")
+	return false
+}
+
+// reject answers 429 with a Retry-After of secs.
+func (s *Server) reject(w http.ResponseWriter, secs int, msg string) {
+	s.Rejected.Add(1)
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	WriteJSON(w, http.StatusTooManyRequests, errorResponse{Error: msg})
+}
+
+// retryAfterSeconds is the executor's capacity estimate as a
+// Retry-After value.
+func (s *Server) retryAfterSeconds() int { return clampSeconds(s.exec.RetryAfter()) }
+
+// clampSeconds rounds d up to whole seconds in [1, 60]: an honest
+// Retry-After hint, neither a hammering 0 nor a give-up hour.
+func clampSeconds(d time.Duration) int {
+	return min(max(int(math.Ceil(d.Seconds())), 1), 60)
+}
+
+// replyError maps a failed sync request onto a status: a full local
+// queue is 429, shutdown 503, the caller's deadline 504 and its
+// cancellation 503. Anything else is the role's FailStatus (500 on a
+// single box, 502 from a fleet).
+func (s *Server) replyError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errQueueFull):
+		s.reject(w, s.retryAfterSeconds(), "job queue full, retry later")
+	case errors.Is(err, errShuttingDown):
+		WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
+	case errors.Is(err, context.DeadlineExceeded):
+		s.Canceled.Add(1)
+		WriteJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "simulation deadline exceeded"})
+	case errors.Is(err, context.Canceled):
+		// Client disconnect or server shutdown; the response is mostly
+		// for the log.
+		s.Canceled.Add(1)
+		WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "request canceled"})
+	default:
+		s.Fail(w, s.role.FailStatus, err)
 	}
-	if prefix == workload.SpecPrefix {
-		files, err := workload.SpecFiles(abs)
-		if err != nil {
-			return "", err
+}
+
+// Decode parses a size-limited JSON body with unknown fields refused,
+// answering 400/413 itself.
+func (s *Server) Decode(w http.ResponseWriter, r *http.Request, into any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.Fail(w, http.StatusRequestEntityTooLarge, err)
+		} else {
+			s.Fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		}
-		for _, f := range files {
-			if _, err := s.resolveTracePath(f); err != nil {
-				return "", err
-			}
-		}
+		return false
 	}
-	return prefix + abs, nil
+	return true
 }
 
-// resolveTracePath resolves ref against the trace dir (unless already
-// absolute) and rejects any result outside it, including `..` escapes
-// and absolute paths elsewhere.
-func (s *Server) resolveTracePath(ref string) (string, error) {
-	abs := ref
-	if !filepath.IsAbs(abs) {
-		abs = filepath.Join(s.cfg.TraceDir, abs)
-	}
-	abs = filepath.Clean(abs)
-	if abs != s.cfg.TraceDir && !strings.HasPrefix(abs, s.cfg.TraceDir+string(filepath.Separator)) {
-		return "", fmt.Errorf("trace path %q escapes the allowlisted trace directory", ref)
-	}
-	return abs, nil
+// Fail counts a failed request and answers {"error": ...} with code.
+func (s *Server) Fail(w http.ResponseWriter, code int, err error) {
+	s.Failed.Add(1)
+	WriteJSON(w, code, errorResponse{Error: err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON renders v indented by two spaces, the form of every reply.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)

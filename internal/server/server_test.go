@@ -36,6 +36,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// loc is a single box's local executor, for tests that reach past the
+// front end.
+func loc(s *Server) *local { return s.exec.(*local) }
+
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	b, err := json.Marshal(body)
@@ -160,7 +164,7 @@ func TestDeadlineCancelsRunningSimulation(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, MaxInstructions: 5_000_000})
 	// Pre-materialize so the request's time is all simulation (the
 	// generation itself is not cancellable).
-	if _, err := s.mz.Get("lspr", 42, 3_000_000); err != nil {
+	if _, err := loc(s).mz.Get("lspr", 42, 3_000_000); err != nil {
 		t.Fatal(err)
 	}
 	// Warm up the HTTP connection pool so keep-alive goroutines are in
@@ -191,10 +195,10 @@ func TestDeadlineCancelsRunningSimulation(t *testing.T) {
 	// The worker must be idle again and nothing leaked.
 	waitFor(t, 5*time.Second, func() bool {
 		http.DefaultClient.CloseIdleConnections()
-		return s.inflight.Load() == 0 && runtime.NumGoroutine() <= before+2
+		return loc(s).inflight.Load() == 0 && runtime.NumGoroutine() <= before+2
 	}, func() string {
 		return fmt.Sprintf("inflight %d, goroutines %d (baseline %d)",
-			s.inflight.Load(), runtime.NumGoroutine(), before)
+			loc(s).inflight.Load(), runtime.NumGoroutine(), before)
 	})
 
 	// The worker is free for the next request.
@@ -218,12 +222,12 @@ func TestQueueFull429(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = s.q.submitWait(context.Background(), func(context.Context) { <-release })
+			_ = loc(s).q.submitWait(context.Background(), func(context.Context) { <-release })
 		}()
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		return s.q.depth() == 1
-	}, func() string { return fmt.Sprintf("queue depth %d", s.q.depth()) })
+		return loc(s).q.depth() == 1
+	}, func() string { return fmt.Sprintf("queue depth %d", loc(s).q.depth()) })
 
 	resp, body := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Workload: "loops", Instructions: 10_000})
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -232,7 +236,7 @@ func TestQueueFull429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if got := s.rejected.Load(); got != 1 {
+	if got := s.Rejected.Load(); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
 	}
 
@@ -258,7 +262,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	release := make(chan struct{})
 	if err := func() error { // occupy the worker so the HTTP request sits queued
 		go func() {
-			_ = s.q.submitWait(context.Background(), func(context.Context) {
+			_ = loc(s).q.submitWait(context.Background(), func(context.Context) {
 				close(started)
 				<-release
 			})
@@ -283,8 +287,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		got <- reply{resp.StatusCode, body}
 	}()
 	waitFor(t, 5*time.Second, func() bool {
-		return s.q.depth() == 1
-	}, func() string { return fmt.Sprintf("queue depth %d", s.q.depth()) })
+		return loc(s).q.depth() == 1
+	}, func() string { return fmt.Sprintf("queue depth %d", loc(s).q.depth()) })
 
 	// Begin shutdown while the request is queued behind the blocker,
 	// then release the blocker so the drain can proceed.
@@ -321,7 +325,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 
 	// After Close, direct submissions are refused as shutting down.
-	if err := s.q.submitWait(context.Background(), func(context.Context) {}); err != errShuttingDown {
+	if err := loc(s).q.submitWait(context.Background(), func(context.Context) {}); err != errShuttingDown {
 		t.Errorf("post-shutdown submit err = %v, want errShuttingDown", err)
 	}
 }
@@ -451,7 +455,7 @@ func TestFastCoreRunsCounter(t *testing.T) {
 		t.Fatalf("simulate: %d %s", resp.StatusCode, body)
 	}
 	if resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
-		Workloads: []string{"loops", "callret"}, Instructions: 5_000,
+		Workloads: []string{"micro", "callret"}, Instructions: 5_000,
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
 	}

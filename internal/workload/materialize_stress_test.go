@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,57 +121,4 @@ func TestMaterializerDistinctKeyNotBlocked(t *testing.T) {
 	if mz.Count() != 2 {
 		t.Errorf("Count() = %d, want 2", mz.Count())
 	}
-}
-
-// TestMaterializerDistinctKeysOverlap is the regression test for the
-// cache-wide-lock bug: requests for different keys must materialize in
-// parallel, not serialize behind one another. It compares the
-// wall-clock of k concurrent Gets against the serial sum of the same k
-// materializations.
-func TestMaterializerDistinctKeysOverlap(t *testing.T) {
-	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >= 2 CPUs to observe overlap")
-	}
-	const (
-		keys = 4
-		n    = 1_000_000
-	)
-
-	// Serial baseline: fresh cache, one key at a time.
-	serialMz := NewMaterializer()
-	serialStart := time.Now()
-	for seed := uint64(0); seed < keys; seed++ {
-		if _, err := serialMz.Get("lspr", seed, n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	serial := time.Since(serialStart)
-
-	// Concurrent: fresh cache, all keys at once.
-	mz := NewMaterializer()
-	var wg sync.WaitGroup
-	concStart := time.Now()
-	for seed := uint64(0); seed < keys; seed++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			if _, err := mz.Get("lspr", seed, n); err != nil {
-				t.Error(err)
-			}
-		}(seed)
-	}
-	wg.Wait()
-	conc := time.Since(concStart)
-
-	if mz.Count() != keys {
-		t.Fatalf("Count() = %d, want %d", mz.Count(), keys)
-	}
-	// With the old cache-wide lock, conc ~= serial. With per-key
-	// singleflight on >= 2 CPUs it must come in clearly under the
-	// serial sum; 0.9 leaves slack for noisy CI machines while still
-	// failing hard on full serialization.
-	if conc >= time.Duration(float64(serial)*0.9) {
-		t.Errorf("concurrent distinct-key Gets did not overlap: concurrent %v vs serial %v", conc, serial)
-	}
-	t.Logf("serial %v, concurrent %v (%.1fx)", serial, conc, float64(serial)/float64(conc))
 }
