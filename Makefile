@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet bench bench-smoke bench-allocs bench-nsinstr bench-json exp race cover fuzz golden golden-wchar serve serve-smoke jobs-smoke diff-smoke cluster-smoke zwork-smoke staticcheck
+.PHONY: all build test vet bench bench-smoke bench-allocs bench-nsinstr bench-check exp race cover fuzz golden golden-wchar serve serve-smoke jobs-smoke diff-smoke cluster-smoke zwork-smoke staticcheck
 
 all: build vet test
 
@@ -35,11 +35,12 @@ bench-allocs:
 bench-nsinstr:
 	sh scripts/bench_nsinstr.sh
 
-# Regenerate the machine-readable benchmark trajectory document for
-# this PR (override PR= to change the filename suffix).
-PR ?= 8
-bench-json:
-	go run ./cmd/zbench -out BENCH_$(PR).json
+# Vet and self-test the benchmark (perfbench/, its own module), which
+# the root `go build ./...` never compiles: a change that removes a
+# name perfbench uses fails here instead of only when the benchmark
+# runs. Wired into CI.
+bench-check:
+	cd perfbench && go vet . && go test .
 
 exp:
 	go run ./cmd/zexp -scale 2000000

@@ -14,7 +14,8 @@
 //
 // Exit status: 0 all cells clean (or, with -perturb, divergence
 // detected as demanded), 1 divergences found (or -perturb detected
-// nothing), 2 usage errors.
+// nothing), 2 usage errors, an unknown -checks name among them
+// (equiv.ValidateChecks).
 package main
 
 import (
@@ -63,15 +64,9 @@ func main() {
 		os.Exit(2)
 	}
 	opts := equiv.Options{Checks: splitList(*checkArg), Perturb: *perturb}
-	known := map[string]bool{}
-	for _, n := range equiv.CheckNames() {
-		known[n] = true
-	}
-	for _, n := range opts.Checks {
-		if !known[n] {
-			fmt.Fprintf(os.Stderr, "zdiff: unknown check %q (try -listchecks)\n", n)
-			os.Exit(2)
-		}
+	if err := equiv.ValidateChecks(opts.Checks); err != nil {
+		fmt.Fprintln(os.Stderr, "zdiff:", err)
+		os.Exit(2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

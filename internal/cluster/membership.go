@@ -349,7 +349,7 @@ func (c *Coordinator) reconcile(urls []string) {
 }
 
 // Backends reports the current membership as status rows (the
-// programmatic form of GET /v1/backends, used by zbench and tests).
+// programmatic form of GET /v1/backends, used by zbpd and tests).
 func (c *Coordinator) Backends() []BackendStatus {
 	members := c.fleet.snapshot()
 	out := make([]BackendStatus, len(members))

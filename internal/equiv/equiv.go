@@ -3,12 +3,12 @@
 // crosschecking methodology: instead of trusting any single execution
 // path, the same (config, workload, seed, budget) cell is pushed
 // through pairs of paths that must agree exactly — packed replay vs
-// streaming generation, fast vs instrumented cycle loop, pooled vs
-// direct execution, cancellable vs plain run loops, reset-reuse vs
-// fresh state, event-log reconstruction
-// vs counter aggregation — plus metamorphic invariants (capacity
-// monotonicity, prefix bounds, SMT2 aggregation sanity) that need not
-// be exact but bound how results may move.
+// streaming generation, pooled vs direct execution, cancellable vs
+// plain run loop, reset-reuse vs fresh state, event-log reconstruction
+// (a run with an EventSink attached) vs counter aggregation — plus
+// metamorphic invariants (capacity monotonicity, prefix bounds, SMT2
+// aggregation sanity) that need not be exact but bound how results may
+// move.
 //
 // Every perf PR runs this harness (cmd/zdiff, `make diff-smoke`)
 // before it lands: the map-order nondeterminism in icache.Tick and the
@@ -19,6 +19,7 @@ package equiv
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"zbp/internal/core"
 	"zbp/internal/sim"
@@ -72,12 +73,11 @@ type Check struct {
 	run  func(ctx context.Context, env *cellEnv, rep *verif.DiffReport) error
 }
 
-// Checks returns every registered check in execution order: the six
+// Checks returns every registered check in execution order: the five
 // exact pairs first, then the metamorphic invariants.
 func Checks() []Check {
 	return []Check{
 		{"packed-vs-streaming", Exact, checkPackedVsStreaming},
-		{"fast-vs-instrumented", Exact, checkFastVsInstrumented},
 		{"pool-1-vs-n", Exact, checkPool1VsN},
 		{"run-vs-runctx", Exact, checkRunVsRunCtx},
 		{"fresh-vs-reset", Exact, checkFreshVsReset},
@@ -98,9 +98,23 @@ func CheckNames() []string {
 	return names
 }
 
+// ValidateChecks rejects any name that is not a registered check, so
+// a stale or misspelled name fails loudly instead of silently running
+// fewer checks.
+func ValidateChecks(names []string) error {
+	known := CheckNames()
+	for _, n := range names {
+		if !slices.Contains(known, n) {
+			return fmt.Errorf("unknown check %q (have %v)", n, known)
+		}
+	}
+	return nil
+}
+
 // Options tune one harness run.
 type Options struct {
 	// Checks selects a subset by name; nil or empty runs every check.
+	// An unknown name fails the cell (see ValidateChecks).
 	Checks []string
 	// PoolParallelism is the N side of the pool-1-vs-n pair (default 4).
 	PoolParallelism int
@@ -112,22 +126,15 @@ type Options struct {
 	Perturb bool
 }
 
-func (o Options) selected() []Check {
+func (o Options) selected() ([]Check, error) {
+	if err := ValidateChecks(o.Checks); err != nil {
+		return nil, err
+	}
 	all := Checks()
 	if len(o.Checks) == 0 {
-		return all
+		return all, nil
 	}
-	want := make(map[string]bool, len(o.Checks))
-	for _, n := range o.Checks {
-		want[n] = true
-	}
-	out := make([]Check, 0, len(all))
-	for _, c := range all {
-		if want[c.Name] {
-			out = append(out, c)
-		}
-	}
-	return out
+	return slices.DeleteFunc(all, func(c Check) bool { return !slices.Contains(o.Checks, c.Name) }), nil
 }
 
 // CheckResult is one check's outcome on one cell.
@@ -145,7 +152,7 @@ type CellResult struct {
 	Cell   Cell
 	Checks []CheckResult
 	// Err is set when the cell could not be evaluated at all (unknown
-	// config/workload, canceled context); Checks is then empty.
+	// config/workload/check, canceled context); Checks is then empty.
 	Err error
 }
 
@@ -192,12 +199,17 @@ type cellEnv struct {
 // CellResult's findings, not through the error.
 func CheckCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	res := CellResult{Cell: cell}
+	checks, err := opts.selected()
+	if err != nil {
+		res.Err = err
+		return res
+	}
 	env, err := newCellEnv(ctx, cell, opts)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	for _, ck := range opts.selected() {
+	for _, ck := range checks {
 		rep := &verif.DiffReport{}
 		if err := ck.run(ctx, env, rep); err != nil {
 			res.Err = fmt.Errorf("equiv: %s on %s: %w", ck.Name, cell.Name(), err)

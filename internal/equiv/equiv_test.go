@@ -81,7 +81,7 @@ func TestPerturbDetected(t *testing.T) {
 	res := CheckCell(context.Background(), cell, Options{
 		Perturb: true,
 		// Exact pairs that route through the perturbed sim constructor.
-		Checks: []string{"packed-vs-streaming", "fast-vs-instrumented", "run-vs-runctx", "fresh-vs-reset", "event-replay"},
+		Checks: []string{"packed-vs-streaming", "run-vs-runctx", "fresh-vs-reset", "event-replay"},
 	})
 	if res.Err != nil {
 		t.Fatalf("perturbed cell errored: %v", res.Err)
@@ -119,7 +119,7 @@ func TestPerturbEachExactPair(t *testing.T) {
 		t.Skip("per-check perturbation sweep skipped in short mode")
 	}
 	cell := Cell{Config: "z15", Workload: "patterned", Seed: testSeed, Instructions: testScale}
-	for _, name := range []string{"packed-vs-streaming", "fast-vs-instrumented", "run-vs-runctx", "fresh-vs-reset", "event-replay"} {
+	for _, name := range []string{"packed-vs-streaming", "run-vs-runctx", "fresh-vs-reset", "event-replay"} {
 		res := CheckCell(context.Background(), cell, Options{Perturb: true, Checks: []string{name}})
 		if res.Err != nil {
 			t.Fatalf("%s: %v", name, res.Err)
@@ -220,10 +220,13 @@ func TestCheckNamesSelect(t *testing.T) {
 	if len(names) != len(Checks()) {
 		t.Fatalf("CheckNames returned %d names for %d checks", len(names), len(Checks()))
 	}
-	opts := Options{Checks: []string{"warmup-prefix", "bogus-check"}}
-	sel := opts.selected()
-	if len(sel) != 1 || sel[0].Name != "warmup-prefix" {
-		t.Fatalf("selected() = %v, want just warmup-prefix", sel)
+	if err := ValidateChecks(names); err != nil {
+		t.Fatalf("registered names rejected: %v", err)
+	}
+	opts := Options{Checks: []string{"warmup-prefix"}}
+	sel, err := opts.selected()
+	if err != nil || len(sel) != 1 || sel[0].Name != "warmup-prefix" {
+		t.Fatalf("selected() = %v, %v, want just warmup-prefix", sel, err)
 	}
 	res := CheckCell(context.Background(),
 		Cell{Config: "z15", Workload: "loops", Seed: testSeed, Instructions: 1000},
@@ -233,6 +236,26 @@ func TestCheckNamesSelect(t *testing.T) {
 	}
 	if len(res.Checks) != 1 || res.Checks[0].Name != "warmup-prefix" {
 		t.Fatalf("ran %v, want just warmup-prefix", res.Checks)
+	}
+	// A known name beside an unknown one must not run the known one
+	// alone and report clean.
+	opts.Checks = append(opts.Checks, "bogus-check")
+	if _, err := opts.selected(); err == nil {
+		t.Fatal("selected() accepted an unknown check name")
+	}
+}
+
+// TestCheckCellUnknownCheck pins that a stale or misspelled check name
+// fails the cell instead of running zero checks and reporting OK.
+func TestCheckCellUnknownCheck(t *testing.T) {
+	res := CheckCell(context.Background(),
+		Cell{Config: "z15", Workload: "loops", Seed: testSeed, Instructions: 1000},
+		Options{Checks: []string{"no-such-check"}})
+	if res.Err == nil {
+		t.Fatalf("unknown check name accepted: ran %d checks, OK=%v", len(res.Checks), res.OK())
+	}
+	if !strings.Contains(res.Err.Error(), `"no-such-check"`) {
+		t.Errorf("error %q does not name the unknown check", res.Err)
 	}
 }
 

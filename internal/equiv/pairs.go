@@ -168,30 +168,6 @@ func checkPool1VsN(ctx context.Context, env *cellEnv, rep *verif.DiffReport) err
 	return nil
 }
 
-// checkFastVsInstrumented forces the instrumented cycle loop (the one
-// EventSink attachment selects) on a run with no sink attached and
-// compares it to the fast-core baseline: the specialized replay loop
-// in sim/fast.go must be invisible in the stats, byte for byte. This
-// is the machine-checked proof the fast core's doc comment points at.
-func checkFastVsInstrumented(ctx context.Context, env *cellEnv, rep *verif.DiffReport) error {
-	if !env.base.FastCore {
-		rep.Addf("fast-vs-instrumented", env.cell.Name(), "",
-			"baseline run did not take the fast core despite having no sink")
-	}
-	cur := env.packed.Cursor()
-	s := env.newSim([]trace.Source{&cur})
-	s.ForceInstrumentedCore()
-	res, err := s.RunCtx(ctx, 0)
-	if err != nil {
-		return err
-	}
-	if res.FastCore {
-		rep.Addf("fast-vs-instrumented", env.cell.Name(), "",
-			"run with ForceInstrumentedCore still reports FastCore")
-	}
-	return env.compareExact(rep, "fast-vs-instrumented", "instrumented core", res)
-}
-
 // checkRunVsRunCtx runs the cell with a live, never-firing cancellable
 // context: the ctx-poll branch of the cycle loop must be invisible in
 // the results.

@@ -54,14 +54,27 @@ func TestTakenPeriodMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestWeakLoopPathologyShape is the E10 oracle: on the weak-loop
+// workload, disabling the speculative trackers raises wrong directions
+// sharply with the BHT alone (the §IV scenario) and never lowers them
+// on full z15.
 func TestWeakLoopPathologyShape(t *testing.T) {
-	// The E10 premise must hold: disabling SBHT/SPHT hurts (or at least
-	// never helps) on the weak-loop workload.
-	var with, without bytes.Buffer
-	E10SBHT(Options{W: &with, Scale: 150000, Seed: 3})
-	_ = without
-	out := with.String()
-	if !strings.Contains(out, "SBHT/SPHT disabled") {
-		t.Fatalf("report malformed:\n%s", out)
+	wrong := map[string]int64{}
+	for i, res := range e10Runs(Options{Scale: 150000, Seed: 3}) {
+		wrong[e10Variants[i].label] = res.Threads[0].DynWrongDir
+	}
+	row := func(label string) int64 {
+		t.Helper()
+		n, ok := wrong[label]
+		if !ok {
+			t.Fatalf("E10 has no %q row (rows: %v)", label, wrong)
+		}
+		return n
+	}
+	if on, off := row("BHT only, SBHT 8 entries"), row("BHT only, SBHT disabled"); float64(off) < 1.2*float64(on) {
+		t.Errorf("BHT only: %d wrong directions with SBHT disabled, want >= 1.2x the %d with it enabled", off, on)
+	}
+	if on, off := row("full z15, SBHT/SPHT 8 entries"), row("full z15, SBHT/SPHT disabled"); off < on {
+		t.Errorf("full z15: %d wrong directions with SBHT/SPHT disabled, fewer than the %d with them enabled", off, on)
 	}
 }

@@ -349,16 +349,31 @@ func E10SBHT(o Options) {
 	fmt.Fprintln(o.W, "PHT absorbing most of the exposure once the branch turns bidirectional.")
 	fmt.Fprintln(o.W)
 	tab := metrics.NewTable("configuration", "MPKI", "dyn wrong direction", "accuracy")
-	variants := []struct {
-		label   string
-		entries int
-		auxOff  bool
-	}{
-		{"BHT only, SBHT 8 entries", 8, true},
-		{"BHT only, SBHT disabled", 0, true},
-		{"full z15, SBHT/SPHT 8 entries", 8, false},
-		{"full z15, SBHT/SPHT disabled", 0, false},
+	for i, res := range e10Runs(o) {
+		tab.Row(e10Variants[i].label, fmt.Sprintf("%.2f", res.MPKI()), res.Threads[0].DynWrongDir,
+			fmt.Sprintf("%.4f", res.Accuracy()))
 	}
+	tab.Render(o.W)
+	fmt.Fprintln(o.W, "\nexpected shape: without the speculative trackers, wrong directions rise on the weak loop branch (sharply in the BHT-only rows).")
+}
+
+// e10Variants are E10's four configurations, in report order.
+var e10Variants = []struct {
+	label   string
+	entries int
+	auxOff  bool
+}{
+	{"BHT only, SBHT 8 entries", 8, true},
+	{"BHT only, SBHT disabled", 0, true},
+	{"full z15, SBHT/SPHT 8 entries", 8, false},
+	{"full z15, SBHT/SPHT disabled", 0, false},
+}
+
+// e10Runs simulates every e10Variants configuration on the weak-loop
+// workload and returns the results in the same order. The E10 report
+// prints these runs and TestWeakLoopPathologyShape asserts its premise
+// on them.
+func e10Runs(o Options) []sim.Result {
 	// With materialization on, the pathological workload is generated
 	// once and every variant replays the shared packed buffer; in
 	// streaming mode it is built per job, so every worker owns its own
@@ -373,8 +388,8 @@ func E10SBHT(o Options) {
 		}
 		spec = runner.Packed(packed)
 	}
-	jobs := make([]runner.Job, len(variants))
-	for i, v := range variants {
+	jobs := make([]runner.Job, len(e10Variants))
+	for i, v := range e10Variants {
 		cfg := sim.Z15()
 		cfg.Core.Dir.SpecEntries = v.entries
 		if v.auxOff {
@@ -388,12 +403,7 @@ func E10SBHT(o Options) {
 			Instructions: o.scale(),
 		}
 	}
-	for i, res := range runBatch(o, jobs) {
-		tab.Row(variants[i].label, fmt.Sprintf("%.2f", res.MPKI()), res.Threads[0].DynWrongDir,
-			fmt.Sprintf("%.4f", res.Accuracy()))
-	}
-	tab.Render(o.W)
-	fmt.Fprintln(o.W, "\nexpected shape: without the speculative trackers, wrong directions rise on the weak loop branch (sharply in the BHT-only rows).")
+	return runBatch(o, jobs)
 }
 
 // weakLoop builds the pathological §IV workload: a tight loop around a

@@ -201,11 +201,6 @@ func (f *Thread) Stats() Stats {
 // for progress (live-lock) detection.
 func (f *Thread) Instructions() int64 { return f.stats.Instructions }
 
-// Hooked reports whether any cycle-level event observer is attached to
-// this thread; a hooked thread pins the simulation to the instrumented
-// run loop.
-func (f *Thread) Hooked() bool { return f.resolveHook != nil || f.restartHook != nil }
-
 // RegisterMetrics registers the thread's live counters under prefix.
 func (f *Thread) RegisterMetrics(r *metrics.Registry, prefix string) {
 	f.stats.Register(r, prefix)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"zbp/internal/equiv"
 )
@@ -63,14 +62,8 @@ func (s *Server) normalizeDiff(req *DiffRequest) (uint64, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	known := map[string]bool{}
-	for _, n := range equiv.CheckNames() {
-		known[n] = true
-	}
-	for _, n := range req.Checks {
-		if !known[n] {
-			return 0, 0, fmt.Errorf("unknown check %q (have %v)", n, equiv.CheckNames())
-		}
+	if err := equiv.ValidateChecks(req.Checks); err != nil {
+		return 0, 0, err
 	}
 	return seed, cells, nil
 }

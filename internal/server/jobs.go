@@ -424,12 +424,6 @@ func (s *Server) cellEvent(cell rcache.CellSpec, out Outcome, sum CellSummary) C
 	}
 }
 
-// Sweep resolves a validated grid the way a sweep job does; onCell (if
-// set) sees each finished cell in completion order.
-func (s *Server) Sweep(ctx context.Context, req SweepRequest, noCache bool, onCell func(CellEvent)) (SweepResponse, error) {
-	return s.runGrid(ctx, req, noCache, true, onCell)
-}
-
 // runGrid resolves every cell of a sweep grid, the role's GridWidth at
 // a time: one by one on a single box (one worker per sweep, events in
 // grid order), all at once on a fleet. Rows are position-assigned in

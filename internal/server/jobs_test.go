@@ -348,7 +348,7 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	if last["type"] != "done" || last["state"] != "canceled" {
 		t.Errorf("final event %v", last)
 	}
-	if metricValue(t, ts, "zbpd_instructions_total") != 0 || loc(s).fastCoreRuns.Load() != 0 {
+	if metricValue(t, ts, "zbpd_instructions_total") != 0 {
 		t.Error("canceled job started a compute")
 	}
 }
@@ -386,10 +386,11 @@ func TestJobEventsSlowReaderNoDeadlock(t *testing.T) {
 
 // TestJobCacheHitResubmission is the headline acceptance test: a
 // resubmitted identical sweep is served entirely from the result
-// cache — zero simulated cycles, proven by the cache and fast-core
-// counters and by the job's own progress accounting.
+// cache — zero simulated cycles, proven by the cache and
+// simulated-instruction counters and by the job's own progress
+// accounting.
 func TestJobCacheHitResubmission(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{Workers: 2})
 	sweep := SweepRequest{
 		Workloads:    []string{"loops", "micro"},
 		Seeds:        []uint64{1, 2},
@@ -406,7 +407,7 @@ func TestJobCacheHitResubmission(t *testing.T) {
 	if misses0 != 4 {
 		t.Fatalf("cold run misses = %v, want 4", misses0)
 	}
-	fast0 := loc(s).fastCoreRuns.Load()
+	instr0 := metricValue(t, ts, "zbpd_instructions_total")
 
 	second := submitJob(t, ts, JobRequest{Sweep: &sweep})
 	secondDone := waitJob(t, ts, second.ID, jobs.Done)
@@ -422,8 +423,8 @@ func TestJobCacheHitResubmission(t *testing.T) {
 	if d := metricValue(t, ts, "zbpd_cache_misses_total") - misses0; d != 0 {
 		t.Errorf("cache misses delta %v, want 0", d)
 	}
-	if d := loc(s).fastCoreRuns.Load() - fast0; d != 0 {
-		t.Errorf("fast-core runs delta %d, want 0 (a cached sweep simulates nothing)", d)
+	if d := metricValue(t, ts, "zbpd_instructions_total") - instr0; d != 0 {
+		t.Errorf("simulated instructions delta %v, want 0 (a cached sweep simulates nothing)", d)
 	}
 	// And the payload is byte-identical: same bytes, not merely equal
 	// numbers.
@@ -472,8 +473,8 @@ func TestJobConcurrentIdenticalSingleflight(t *testing.T) {
 	if got := s.cache.Puts(); got != cells {
 		t.Errorf("puts = %d, want %d", got, cells)
 	}
-	if got := loc(s).fastCoreRuns.Load(); got != cells {
-		t.Errorf("fast-core runs = %d, want %d (every cell simulated once)", got, cells)
+	if got := metricValue(t, ts, "zbpd_instructions_total"); got != cells*60_000 {
+		t.Errorf("simulated instructions = %v, want %d (every cell simulated once)", got, cells*60_000)
 	}
 	if got := s.cache.Hits(); got != int64(N*cells-cells) {
 		t.Errorf("hits = %d, want %d", got, N*cells-cells)

@@ -30,12 +30,6 @@ type local struct {
 
 	inflight     atomic.Int64
 	instructions atomic.Int64
-	// fastCoreRuns counts simulations that executed on the specialized
-	// no-sink replay loop (sim.Result.FastCore). The service never
-	// attaches an EventSink, so in a healthy deployment this tracks
-	// every simulated cell; a drop to zero means a code change knocked
-	// the hot path off the fast core.
-	fastCoreRuns atomic.Int64
 	// runNanosEWMA tracks a smoothed per-task queue-slot duration (ns),
 	// feeding the Retry-After estimate on 429 responses.
 	runNanosEWMA atomic.Int64
@@ -98,9 +92,6 @@ func (l *local) computeCellStats(ctx context.Context, cell rcache.CellSpec) ([]b
 		return nil, errors.New("truncated result is not cacheable")
 	}
 	l.instructions.Add(res.Instructions())
-	if res.FastCore {
-		l.fastCoreRuns.Add(1)
-	}
 	return res.StatsJSON()
 }
 
@@ -277,7 +268,6 @@ func (l *local) Register(reg *metrics.Registry) {
 	}
 	count("zbpd.instructions_total", &l.instructions)
 	count("zbpd.inflight", &l.inflight)
-	count("zbpd.fast_core_runs_total", &l.fastCoreRuns)
 	gauge("zbpd.run_seconds_ewma", l.RunSecondsEWMA)
 	gauge("zbpd.queue_depth", func() float64 { return float64(l.q.depth()) })
 	gauge("zbpd.queue_capacity", func() float64 { return float64(l.cfg.QueueDepth) })

@@ -444,52 +444,6 @@ func TestMetricsEndpointParseable(t *testing.T) {
 	}
 }
 
-// TestFastCoreRunsCounter checks that hook-free simulate and sweep
-// traffic executes on the specialized fast core and is counted: the
-// service attaches no EventSink, so every completed run must land on
-// the fast loop. A zero here means a code change silently knocked the
-// service hot path onto the instrumented core.
-func TestFastCoreRunsCounter(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	if resp, body := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Workload: "loops", Instructions: 5_000}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("simulate: %d %s", resp.StatusCode, body)
-	}
-	if resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
-		Workloads: []string{"micro", "callret"}, Instructions: 5_000,
-	}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1 simulate + 2 sweep cells, all sink-free.
-	want := regexp.MustCompile(`(?m)^zbpd_fast_core_runs_total(\{[^}]*\})? 3$`)
-	if !want.MatchString(string(body)) {
-		t.Errorf("exposition missing fast_core_runs_total=3:\n%s", grepLines(string(body), "fast_core"))
-	}
-}
-
-// grepLines returns the lines of s containing substr (for terse
-// failure messages against the full exposition).
-func grepLines(s, substr string) string {
-	var out []string
-	for _, l := range strings.Split(s, "\n") {
-		if strings.Contains(l, substr) {
-			out = append(out, l)
-		}
-	}
-	if len(out) == 0 {
-		return "(no matching lines)"
-	}
-	return strings.Join(out, "\n")
-}
-
 // TestConcurrentMetricsScrapeRace drives simulations and /metrics
 // scrapes concurrently; under -race this proves scrapes don't race
 // with live counter updates.

@@ -11,8 +11,8 @@ import (
 )
 
 // statsOf runs one simulation to completion and returns its canonical
-// stats JSON plus the core-selection flag.
-func statsOf(t *testing.T, s *sim.Sim) ([]byte, bool) {
+// stats JSON.
+func statsOf(t *testing.T, s *sim.Sim) []byte {
 	t.Helper()
 	res, err := s.RunCtx(context.Background(), 0)
 	if err != nil {
@@ -22,15 +22,14 @@ func statsOf(t *testing.T, s *sim.Sim) ([]byte, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return js, res.FastCore
+	return js
 }
 
-// TestEventSinkToggle sweeps a small config x workload grid three ways
-// per cell — fast core (no sink), instrumented core forced with no
-// sink, and instrumented core via an attached EventSink — and requires
-// byte-identical stats JSON from all three. Attaching observability
-// must never change what is observed; this is the in-package
-// counterpart of the fast-vs-instrumented equiv pair.
+// TestEventSinkToggle sweeps a small config x workload grid twice per
+// cell — with no sink and with an attached EventSink — and requires
+// byte-identical stats JSON from both. Attaching observability must
+// never change what is observed; this is the in-package counterpart
+// of the event-replay equiv pair.
 func TestEventSinkToggle(t *testing.T) {
 	const n = 8000
 	for _, cfgName := range []string{"z15", "zEC12"} {
@@ -50,29 +49,13 @@ func TestEventSinkToggle(t *testing.T) {
 					return sim.New(cfg, []trace.Source{&cur})
 				}
 
-				fastJS, fastCore := statsOf(t, mk())
-				if !fastCore {
-					t.Fatal("sink-free run did not select the fast core")
-				}
-
-				forced := mk()
-				forced.ForceInstrumentedCore()
-				forcedJS, forcedFast := statsOf(t, forced)
-				if forcedFast {
-					t.Fatal("ForceInstrumentedCore run reports FastCore")
-				}
-				if string(fastJS) != string(forcedJS) {
-					t.Error("instrumented core (forced) diverges from fast core")
-				}
+				plainJS := statsOf(t, mk())
 
 				sunk := mk()
 				ring := sim.NewRingSink(64)
 				sunk.SetEventSink(ring)
-				sunkJS, sunkFast := statsOf(t, sunk)
-				if sunkFast {
-					t.Fatal("run with an EventSink attached reports FastCore")
-				}
-				if string(fastJS) != string(sunkJS) {
+				sunkJS := statsOf(t, sunk)
+				if string(plainJS) != string(sunkJS) {
 					t.Error("attaching an EventSink changed the stats JSON")
 				}
 				if ring.Total() == 0 {
@@ -83,25 +66,9 @@ func TestEventSinkToggle(t *testing.T) {
 	}
 }
 
-// TestSetEventSinkNilKeepsFastCore pins the boundary condition: a nil
-// sink is a no-op and must not knock the run off the fast core.
-func TestSetEventSinkNilKeepsFastCore(t *testing.T) {
-	p, err := workload.MakePacked("patterned", 7, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := p.Cursor()
-	s := sim.New(sim.Z15(), []trace.Source{&cur})
-	s.SetEventSink(nil)
-	_, fast := statsOf(t, s)
-	if !fast {
-		t.Error("SetEventSink(nil) disabled the fast core")
-	}
-}
-
-// TestFastCoreSMT2 covers the unrolled two-thread shape of the fast
-// loop: an SMT2 run with no sink must take the fast core and agree
-// byte-for-byte with the instrumented loop.
+// TestFastCoreSMT2 covers the unrolled two-thread shape of the cycle
+// loop: an SMT2 run with an EventSink attached must agree
+// byte-for-byte with one without, and the sink must see both threads.
 func TestFastCoreSMT2(t *testing.T) {
 	const n = 6000
 	mk := func() *sim.Sim {
@@ -117,20 +84,26 @@ func TestFastCoreSMT2(t *testing.T) {
 		return sim.New(sim.Z15(), []trace.Source{&c0, &c1})
 	}
 
-	fastJS, fastCore := statsOf(t, mk())
-	if !fastCore {
-		t.Fatal("SMT2 sink-free run did not select the fast core")
+	plainJS := statsOf(t, mk())
+	sunk := mk()
+	ring := sim.NewRingSink(1 << 16)
+	sunk.SetEventSink(ring)
+	if string(plainJS) != string(statsOf(t, sunk)) {
+		t.Error("attaching an EventSink changed the SMT2 stats JSON")
 	}
-	forced := mk()
-	forced.ForceInstrumentedCore()
-	forcedJS, _ := statsOf(t, forced)
-	if string(fastJS) != string(forcedJS) {
-		t.Error("SMT2 fast core diverges from instrumented core")
+	var seen [2]bool
+	for _, e := range ring.Events() {
+		if e.Thread == 0 || e.Thread == 1 {
+			seen[e.Thread] = true
+		}
+	}
+	if !seen[0] || !seen[1] {
+		t.Errorf("SMT2 sink saw threads %v, want both", seen)
 	}
 }
 
-// TestFastCoreTruncation checks the fast loop honors the maxCycles
-// budget and marks the result truncated, like the instrumented loop.
+// TestFastCoreTruncation checks the cycle loop honors the maxCycles
+// budget and marks the result truncated.
 func TestFastCoreTruncation(t *testing.T) {
 	p, err := workload.MakePacked("patterned", 42, 50000)
 	if err != nil {
@@ -141,18 +114,15 @@ func TestFastCoreTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.FastCore {
-		t.Error("truncated run did not use the fast core")
-	}
 	if !res.Truncated {
 		t.Error("maxCycles-bounded fast run not marked Truncated")
 	}
 	if res.Cycles > 100 {
-		t.Errorf("fast core ran %d cycles past a 100-cycle budget", res.Cycles)
+		t.Errorf("cycle loop ran %d cycles past a 100-cycle budget", res.Cycles)
 	}
 }
 
-// TestFastCoreCancellation checks cooperative cancellation on the fast
+// TestFastCoreCancellation checks cooperative cancellation on the cycle
 // loop's throttled context poll.
 func TestFastCoreCancellation(t *testing.T) {
 	p, err := workload.MakePacked("patterned", 42, 200000)

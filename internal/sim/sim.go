@@ -67,23 +67,20 @@ type Result struct {
 	// the work done so far, but its headline metrics describe a prefix
 	// of the workload, not the whole trace.
 	Truncated bool
-	// FastCore reports that the run executed on the specialized
-	// replay loop (no EventSink attached) rather than the
-	// instrumented one. Diagnostic only: like Truncated it is
-	// deliberately absent from the stats JSON schema, because fast
-	// and instrumented runs of the same workload must stay
-	// byte-identical (enforced by the fast-vs-instrumented equiv
-	// pair).
+	// FastCore is always true: RunCtx has one cycle loop, with or
+	// without an EventSink. The field survives only because the
+	// benchmark driver (perfbench, a separate module) still assigns
+	// it; it is absent from the stats JSON schema.
 	FastCore bool
-	Cycles    int64
-	Threads   []frontend.Stats
-	Core      core.Stats
-	BTB1      btb.Stats
-	BTB2      btb.Stats
-	Dir       dirpred.Stats
-	Tgt       tgt.Stats
-	CPred     cpred.Stats
-	IC        icache.Stats
+	Cycles   int64
+	Threads  []frontend.Stats
+	Core     core.Stats
+	BTB1     btb.Stats
+	BTB2     btb.Stats
+	Dir      dirpred.Stats
+	Tgt      tgt.Stats
+	CPred    cpred.Stats
+	IC       icache.Stats
 }
 
 // Instructions returns total retired instructions across threads.
@@ -146,11 +143,6 @@ type Sim struct {
 	core    *core.Core
 	ic      *icache.Hierarchy
 	threads []*frontend.Thread
-	// instrumented pins Run/RunCtx to the instrumented cycle loop.
-	// SetEventSink sets it (event hooks need the hook-dispatching
-	// loop's pacing guarantees observable per cycle); tests force it
-	// via ForceInstrumentedCore to prove both loops byte-identical.
-	instrumented bool
 }
 
 // New builds a simulation over one source per thread (1 = single
@@ -246,36 +238,56 @@ const ctxCheckMask = 4096 - 1
 // cycles — so a canceled simulation stops within microseconds without
 // leaking its goroutine.
 //
-// RunCtx selects the execution core automatically: with no EventSink
-// attached it runs the specialized fast loop (see fast.go); attaching
-// a sink falls back to this instrumented loop. Both produce
-// byte-identical results — the choice is purely a throughput
-// optimization, marked on Result.FastCore.
+// This is the one cycle loop, with or without an EventSink: sinks are
+// hooks that fire beneath it, inside Core.Cycle, Thread.Step and
+// Hierarchy.Tick. Each cycle checks done, maxCycles and cancellation,
+// then cycles the core, steps the threads, ticks the I-cache and reads
+// progress. The per-cycle bookkeeping is monomorphized down to plain
+// integer loads:
+//
+//   - thread progress is read through Thread.Instructions (one int64
+//     load) instead of copying the whole frontend.Stats struct per
+//     cycle, which the CPU profile showed as runtime.duffcopy heat;
+//   - the thread set is unrolled for the ST and SMT2 shapes (the only
+//     two core.MaxThreads allows), so the loop body has no slice
+//     range or per-iteration bounds checks on the hot spine.
+//
+// The deeper specialization lives below this loop: the front end calls
+// the concrete *trace.Cursor.Next for packed replays instead of
+// dispatching through the Source interface (frontend.go), predictions
+// are peeked by pointer instead of copied (core.go), and BTB rows are
+// flat structure-of-arrays columns (btb.go). Note Go generics would
+// not achieve the cursor monomorphization: gcshape stenciling
+// collapses all pointer type arguments into one dictionary-dispatched
+// instantiation, so the concrete-field-plus-nil-check form is the one
+// the inliner can see through. The packed-vs-streaming, run-vs-runctx
+// and event-replay pairs in internal/equiv check it byte-for-byte.
 func (s *Sim) RunCtx(ctx context.Context, maxCycles int64) (Result, error) {
-	if !s.instrumented {
-		return s.runFast(ctx, maxCycles)
-	}
 	cancel := ctx.Done()
+	c := s.core
 	var lastInstr int64
 	var lastProgress int64
 	truncated := false
 	var runErr error
+
+	t0 := s.threads[0]
+	t1 := t0
+	smt := len(s.threads) > 1
+	if smt {
+		t1 = s.threads[1]
+	}
+
 loop:
 	for {
-		done := true
-		for _, t := range s.threads {
-			if !t.Done() {
-				done = false
-			}
-		}
-		if done {
+		if t0.Done() && t1.Done() {
 			break
 		}
-		if maxCycles > 0 && s.core.Clock() >= maxCycles {
+		clk := c.Clock()
+		if maxCycles > 0 && clk >= maxCycles {
 			truncated = true
 			break
 		}
-		if cancel != nil && s.core.Clock()&ctxCheckMask == 0 {
+		if cancel != nil && clk&ctxCheckMask == 0 {
 			select {
 			case <-cancel:
 				truncated = true
@@ -284,17 +296,18 @@ loop:
 			default:
 			}
 		}
-		s.core.Cycle()
-		now := s.core.Clock()
-		for _, t := range s.threads {
-			t.Step(now)
+		c.Cycle()
+		now := c.Clock()
+		t0.Step(now)
+		if smt {
+			t1.Step(now)
 		}
 		if s.ic != nil {
 			s.ic.Tick(now)
 		}
-		var instr int64
-		for _, t := range s.threads {
-			instr += t.Stats().Instructions
+		instr := t0.Instructions()
+		if smt {
+			instr += t1.Instructions()
 		}
 		if instr > lastInstr {
 			lastInstr = instr
@@ -308,6 +321,7 @@ loop:
 	}
 	res := s.result()
 	res.Truncated = truncated
+	res.FastCore = true
 	return res, runErr
 }
 

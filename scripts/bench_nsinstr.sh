@@ -2,7 +2,7 @@
 # Replay-throughput regression guard for the packed fast path.
 #
 # Runs the headline BenchmarkPackedReplay/packed sub-benchmark (the
-# monomorphized cursor drain the fast core's front end rides) and
+# monomorphized cursor drain the front end rides) and
 # fails if its ns/instr metric exceeds the checked-in ceiling in
 # scripts/bench_nsinstr_ceiling.txt, or if the drain allocates at all.
 #

@@ -81,12 +81,18 @@ echo "$EVENTS" | grep -q '"type":"done"' || {
 }
 echo "jobs-smoke: event stream ok"
 
-FAST_BEFORE=$(metric zbpd_fast_core_runs_total)
+INSTR_BEFORE=$(metric zbpd_instructions_total)
 HITS_BEFORE=$(metric zbpd_cache_hits_total)
+# The cold run simulated, so the counter must be present and nonzero;
+# otherwise the unchanged-counter check below would pass vacuously.
+awk -v a="${INSTR_BEFORE:-0}" 'BEGIN { exit !(a > 0) }' || {
+    echo "jobs-smoke: cold sweep left zbpd_instructions_total at '$INSTR_BEFORE'" >&2
+    exit 1
+}
 
 # Identical resubmission: served from the result cache — cache hits
-# rise, and not one additional simulation runs (the fast-core counter,
-# bumped once per simulated cell, must not move).
+# rise, and not one additional instruction is simulated (the
+# simulated-instruction counter must not move).
 submit_and_wait "$SWEEP"
 echo "jobs-smoke: cached sweep job $JOB done"
 
@@ -95,17 +101,17 @@ curl -sf "http://$ADDR/v1/jobs/$JOB" | grep -q '"cells_cached": 4' || {
     curl -sf "http://$ADDR/v1/jobs/$JOB" >&2
     exit 1
 }
-FAST_AFTER=$(metric zbpd_fast_core_runs_total)
+INSTR_AFTER=$(metric zbpd_instructions_total)
 HITS_AFTER=$(metric zbpd_cache_hits_total)
-[ "$FAST_BEFORE" = "$FAST_AFTER" ] || {
-    echo "jobs-smoke: cached resubmission ran simulations ($FAST_BEFORE -> $FAST_AFTER)" >&2
+[ "$INSTR_BEFORE" = "$INSTR_AFTER" ] || {
+    echo "jobs-smoke: cached resubmission simulated instructions ($INSTR_BEFORE -> $INSTR_AFTER)" >&2
     exit 1
 }
 awk -v a="$HITS_BEFORE" -v b="$HITS_AFTER" 'BEGIN { exit !(b > a) }' || {
     echo "jobs-smoke: cache hits did not rise ($HITS_BEFORE -> $HITS_AFTER)" >&2
     exit 1
 }
-echo "jobs-smoke: cache-served resubmission ok (hits $HITS_BEFORE -> $HITS_AFTER, fast-core runs unchanged)"
+echo "jobs-smoke: cache-served resubmission ok (hits $HITS_BEFORE -> $HITS_AFTER, simulated instructions unchanged)"
 
 # SIGTERM with a job still running: drain must cancel it and exit 0.
 curl -sf -X POST "http://$ADDR/v1/jobs" \
