@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet bench bench-smoke bench-allocs bench-nsinstr bench-check exp race cover fuzz golden golden-wchar serve serve-smoke jobs-smoke diff-smoke cluster-smoke zwork-smoke staticcheck
+.PHONY: all build test vet fmt-check bench bench-smoke bench-allocs bench-nsinstr bench-check exp race cover fuzz golden golden-wchar serve serve-smoke jobs-smoke diff-smoke cluster-smoke zwork-smoke staticcheck
 
 all: build vet test
 
@@ -12,6 +12,13 @@ vet:
 
 test: vet
 	go test ./...
+
+# Fail if a tracked Go file is not gofmt-clean. It lists tracked files
+# instead of walking ".", which would descend into the gitignored
+# .bench_build/ module cache. Wired into CI.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 race:
 	go test -race ./...
@@ -52,6 +59,7 @@ cover:
 fuzz:
 	go test ./internal/trace -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 30s
 	go test ./internal/trace -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime 30s
+	go test ./internal/trace -run '^$$' -fuzz '^FuzzPackedRoundTrip$$' -fuzztime 30s
 	go test ./internal/trace -run '^$$' -fuzz '^FuzzIngest$$' -fuzztime 30s
 	go test ./internal/equiv -run '^$$' -fuzz '^FuzzEquivCell$$' -fuzztime 30s
 	go test ./internal/server -run '^$$' -fuzz '^FuzzFrontendDecode$$' -fuzztime 30s

@@ -340,11 +340,11 @@ func drain(b *testing.B, src trace.Source, n int) uint64 {
 // per-record cost of one trace REPLAY, as a sweep job pays it.
 //
 // In a multi-point campaign every design point needs its own pass over
-// the workload. On the streaming path that means what runner.Workload
-// does inside each pool job: build the generator (workload.Make —
-// program construction, behavior closures, rng) and run it from
-// scratch. On the packed path the buffer was materialized once for the
-// whole campaign, and a replay is a reset O(1) cursor over flat
+// the workload. On the streaming path, the one zsim and the zbp facade
+// take, that means building the generator (workload.Make — program
+// construction, behavior closures, rng) and running it from scratch.
+// On the packed path the buffer was materialized once for the whole
+// campaign, and a replay is a reset O(1) cursor over flat
 // pre-validated columns.
 //
 // The packed sub-benchmark drains through the concrete cursor — the
@@ -409,11 +409,11 @@ func BenchmarkPackedReplay(b *testing.B) {
 
 // BenchmarkE11AblationEndToEnd runs the whole E11 ablation experiment
 // (10 z15 variants over the mixed workload) per iteration, in both
-// source modes: the end-to-end wall-clock view of materialize-once vs
-// regenerate-per-point for a real multi-point study.
+// trace modes: the end-to-end wall-clock view of materialize-once vs
+// pack-per-point for a real multi-point study.
 func BenchmarkE11AblationEndToEnd(b *testing.B) {
 	const scale = 60_000
-	for _, mode := range []string{"streaming", "packed"} {
+	for _, mode := range []string{"per-job", "packed"} {
 		mode := mode
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()

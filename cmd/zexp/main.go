@@ -7,17 +7,14 @@
 //	zexp -exp mpki,fig4      # run selected experiments
 //	zexp -scale 2000000      # instructions per simulation
 //	zexp -parallel 4         # bound concurrent simulations (0 = all cores)
-//	zexp -materialize=false  # regenerate workloads per job (streaming)
 //	zexp -cpuprofile cpu.pb  # write a pprof CPU profile
 //	zexp -list               # list experiment IDs
 //
 // Reports are byte-identical at every -parallel setting: the runner
 // pool preserves job order and each simulation owns its own state.
-// They are also byte-identical with and without -materialize: packed
-// replay yields the exact record stream streaming generation would;
-// materializing only trades memory (the packed buffers stay resident
-// for the whole run) for a large cut in generation work and hot-loop
-// cost.
+// Every workload is packed once and replayed across all sweep points
+// while it stays in a bounded trace cache; an evicted trace is packed
+// again, byte for byte.
 package main
 
 import (
@@ -39,7 +36,6 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "workload seed")
 		seeds    = flag.Int("seeds", 1, "seeds to average in the mpki experiment")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = all cores); results are identical at any setting")
-		mat      = flag.Bool("materialize", true, "materialize each workload once and replay packed buffers across all sweep points (identical results, less work)")
 		statsDir = flag.String("stats-dir", "", "serialize every simulation's stats snapshot (JSON) into this directory")
 		wls      = flag.String("workloads", "", "comma-separated workload override for the mpki experiment (names, file:<path>, spec:<path>)")
 		list     = flag.Bool("list", false, "list experiments and exit")
@@ -106,12 +102,9 @@ func main() {
 	fmt.Printf("zbp experiment runner: %d experiment(s), scale %d instructions, seed %d\n",
 		len(selected), *scale, *seed)
 	// One materializer is shared across every selected experiment, so a
-	// workload used by several experiments is generated exactly once
-	// for the whole run.
-	var mz *workload.Materializer
-	if *mat {
-		mz = workload.NewMaterializer()
-	}
+	// workload used by several experiments is generated once while it
+	// stays resident.
+	mz := workload.NewMaterializer()
 	start := time.Now()
 	for _, e := range selected {
 		t0 := time.Now()
@@ -123,9 +116,9 @@ func main() {
 		e.Run(opts)
 		fmt.Printf("[%s done in %v]\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
-	if mz != nil && mz.Count() > 0 {
-		fmt.Printf("\nmaterialized %d packed trace(s), %.1f MB shared across all sweep points\n",
-			mz.Count(), float64(mz.FootprintBytes())/(1<<20))
+	if mz.Count() > 0 {
+		fmt.Printf("\nmaterialized %d packed trace(s) resident, %.1f MB shared across sweep points, %d evicted\n",
+			mz.Count(), float64(mz.FootprintBytes())/(1<<20), mz.Evictions())
 	}
 	fmt.Printf("\nall done in %v\n", time.Since(start).Round(time.Millisecond))
 }

@@ -7,9 +7,8 @@
 //	ztune -axes btb1,pht -workloads lspr,micro -n 300000
 //	ztune -listaxes
 //
-// By default each workload is materialized once (generated, validated
-// and packed) and every design point replays cursors over the shared
-// buffer; -stream regenerates per point (identical results, more work).
+// Each workload is materialized once (generated, validated and packed)
+// and every design point replays cursors over the shared buffer.
 package main
 
 import (
@@ -33,7 +32,6 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "workload seed")
 		par     = flag.Int("p", 0, "parallel simulations (0 = GOMAXPROCS)")
 		top     = flag.Int("top", 10, "show the best N points")
-		stream  = flag.Bool("stream", false, "regenerate workloads per design point instead of replaying shared packed buffers")
 		list    = flag.Bool("listaxes", false, "list axes and exit")
 	)
 	flag.Parse()
@@ -73,7 +71,6 @@ func main() {
 		Instructions: *n,
 		Seed:         *seed,
 		Parallelism:  *par,
-		Streaming:    *stream,
 	}
 	fmt.Printf("exploring %d design points over %v (%d instructions each)...\n",
 		study.Size(), study.Workloads, *n)

@@ -52,3 +52,32 @@ func ExampleNewSim() {
 	// threads: 2
 	// both finished: true
 }
+
+// ExampleMaterializeWorkload packs a workload once and replays it:
+// the replay's stats are byte-identical to streaming the generator.
+func ExampleMaterializeWorkload() {
+	p, err := zbp.MaterializeWorkload("lspr", 42, 100_000)
+	if err != nil {
+		panic(err)
+	}
+	c := p.Cursor()
+	replayed, err := zbp.Run(zbp.Z15(), &c, 100_000)
+	if err != nil {
+		panic(err)
+	}
+	src, err := zbp.NewWorkload("lspr", 42)
+	if err != nil {
+		panic(err)
+	}
+	streamed, err := zbp.Run(zbp.Z15(), src, 100_000)
+	if err != nil {
+		panic(err)
+	}
+	a, _ := replayed.StatsJSON()
+	b, _ := streamed.StatsJSON()
+	fmt.Println("records:", p.Len())
+	fmt.Println("same stats as streaming:", string(a) == string(b))
+	// Output:
+	// records: 100000
+	// same stats as streaming: true
+}

@@ -165,11 +165,11 @@ type Event struct {
 type Table struct {
 	geo Geometry
 	// Parallel per-way columns, row-major (index row*Ways+way).
-	valid  []bool
-	tag    []uint64
-	offset []uint16 // branch offset within the line, in bytes
-	stamp  []uint64 // LRU timestamp, larger = more recent
-	info   []Info
+	valid    []bool
+	tag      []uint64
+	offset   []uint16 // branch offset within the line, in bytes
+	stamp    []uint64 // LRU timestamp, larger = more recent
+	info     []Info
 	tick     uint64
 	stats    Stats
 	observer func(Event)
@@ -212,13 +212,6 @@ func (t *Table) Geometry() Geometry { return t.geo }
 
 // Stats returns a copy of the event counters.
 func (t *Table) Stats() Stats { return t.stats }
-
-// RegisterMetrics registers the table's live counters plus an
-// occupancy gauge under prefix.
-func (t *Table) RegisterMetrics(r *metrics.Registry, prefix string) {
-	t.stats.Register(r, prefix)
-	r.Gauge(prefix+".occupancy", func() float64 { return float64(t.Occupancy()) })
-}
 
 func (t *Table) row(addr zarch.Addr) int {
 	return int(uint64(addr) >> t.geo.LineShift & uint64(t.geo.Rows()-1))

@@ -244,20 +244,6 @@ func New(cfg Config) *Core {
 	return c
 }
 
-// RegisterMetrics registers the whole predictor tree's live counters:
-// the core's own under "core" and each substructure under its
-// conventional prefix (btb1, btb2, dir, tgt, cpred).
-func (c *Core) RegisterMetrics(r *metrics.Registry) {
-	c.stats.Register(r, "core")
-	c.btb1.RegisterMetrics(r, "btb1")
-	if c.btb2 != nil {
-		c.btb2.RegisterMetrics(r, "btb2")
-	}
-	c.dir.RegisterMetrics(r, "dir")
-	c.tgt.RegisterMetrics(r, "tgt")
-	c.cpred.RegisterMetrics(r, "cpred")
-}
-
 // Config returns the active configuration.
 func (c *Core) Config() Config { return c.cfg }
 
@@ -818,9 +804,6 @@ func (c *Core) Preload(level int, info btb.Info) {
 func (c *Core) BTB1Lookup(addr zarch.Addr) (btb.Info, bool) {
 	return c.btb1.Lookup(addr)
 }
-
-// BTB1Occupancy returns the number of valid BTB1 entries.
-func (c *Core) BTB1Occupancy() int { return c.btb1.Occupancy() }
 
 // BTB2Occupancy returns the number of valid BTB2 entries (0 when the
 // level is disabled).

@@ -123,11 +123,6 @@ func (c *CPRED) Enabled() bool { return len(c.entries) > 0 }
 // Stats returns a copy of the counters.
 func (c *CPRED) Stats() Stats { return c.stats }
 
-// RegisterMetrics registers the predictor's live counters under prefix.
-func (c *CPRED) RegisterMetrics(r *metrics.Registry, prefix string) {
-	c.stats.Register(r, prefix)
-}
-
 func (c *CPRED) index(stream zarch.Addr) int {
 	return int(hashx.Fold(uint64(stream)>>1, c.idxBits))
 }

@@ -452,11 +452,6 @@ func (u *Unit) Flush(seq uint64) {
 // Stats returns a copy of the counters.
 func (u *Unit) Stats() Stats { return u.stats }
 
-// RegisterMetrics registers the unit's live counters under prefix.
-func (u *Unit) RegisterMetrics(r *metrics.Registry, prefix string) {
-	u.stats.Register(r, prefix)
-}
-
 // PercHas exposes perceptron residency for tests and verification.
 func (u *Unit) PercHas(addr zarch.Addr) bool {
 	return u.perc != nil && u.perc.Has(addr)

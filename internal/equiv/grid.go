@@ -2,55 +2,27 @@ package equiv
 
 import (
 	"context"
-	"runtime"
-	"sync"
+
+	"zbp/internal/runner"
 )
 
 // CheckGrid evaluates every cell, fanning out across at most
 // parallelism workers (<=0 means GOMAXPROCS). Results come back in
 // cell order and are identical at any parallelism: each cell builds
-// all of its own state, exactly like runner.Pool jobs. Cancellation is
-// cooperative — cells not yet started return with Err set to ctx.Err(),
-// in-flight cells stop at their next simulation poll.
+// all of its own state, exactly like runner.Pool jobs, which share the
+// same fan-out (runner.Each). Cancellation is cooperative — cells not
+// yet started return with Err set to ctx.Err(), in-flight cells stop
+// at their next simulation poll.
 func CheckGrid(ctx context.Context, cells []Cell, opts Options, parallelism int) []CellResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]CellResult, len(cells))
-	if len(cells) == 0 {
-		return results
-	}
-	w := parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(cells) {
-		w = len(cells)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for ; w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = CheckCell(ctx, cells[i], opts)
-			}
-		}()
-	}
-feed:
-	for i := range cells {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			for j := i; j < len(cells); j++ {
-				results[j] = CellResult{Cell: cells[j], Err: ctx.Err()}
-			}
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
+	runner.Each(ctx, len(cells), parallelism, func(i int) {
+		results[i] = CheckCell(ctx, cells[i], opts)
+	}, func(i int) {
+		results[i] = CellResult{Cell: cells[i], Err: ctx.Err()}
+	})
 	return results
 }
 

@@ -50,12 +50,12 @@ type Options struct {
 	// including file:<path> traces and spec:<path> mixes — the hook for
 	// running the generational comparison over ingested external traces.
 	Workloads []string
-	// Mat, when non-nil, enables the materialize-once pipeline: each
-	// (workload, seed, scale) is generated and packed a single time —
-	// shared across every experiment handed the same Materializer — and
-	// all sweep points replay lock-free cursors over the shared buffer.
-	// Results are byte-identical to streaming generation (enforced by
-	// the packed-vs-streaming equivalence tests); only wall clock and
+	// Mat, when non-nil, shares packed traces across jobs: each
+	// (workload, seed, scale) is generated and packed once while it
+	// stays resident — across every experiment handed the same
+	// Materializer — and all sweep points replay cursors over the
+	// shared buffer. With Mat nil every job packs its own trace.
+	// Results are byte-identical either way; only wall clock and
 	// allocation behavior change.
 	Mat *workload.Materializer
 	// batchSeq numbers runner batches within one experiment for stable
@@ -123,29 +123,19 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // job builds one pool job for the named workload at experiment scale.
-// With a Materializer set, the job replays a cursor over the shared
-// packed trace instead of regenerating the workload in the worker.
-// The caller's seed is decorrelated per workload name (see
+// The worker draws the packed trace from o.Mat when the job starts, so
+// a batch holds only the traces of its running jobs plus the bounded
+// cache. The caller's seed is decorrelated per workload name (see
 // hashx.SeedFor) so experiments sweeping several workloads from one
 // base seed don't feed every generator the same random stream;
 // explicit offsets (E7's per-generation reseeding) compose on top.
 func job(o Options, cfg sim.Config, name string, seed uint64) runner.Job {
-	seed = hashx.SeedFor(seed, name)
-	j := runner.Job{
+	return runner.Job{
 		Name:         name,
 		Config:       cfg,
+		Source:       runner.Cached(o.Mat, name, hashx.SeedFor(seed, name)),
 		Instructions: o.scale(),
 	}
-	if o.Mat != nil {
-		p, err := o.Mat.Get(name, seed, o.scale())
-		if err != nil {
-			panic(fmt.Errorf("exp: materializing %s: %w", name, err))
-		}
-		j.Source = runner.Packed(p)
-	} else {
-		j.Source = runner.Workload(name, seed)
-	}
-	return j
 }
 
 // runBatch fans jobs out across the experiment's runner pool and

@@ -374,19 +374,11 @@ var e10Variants = []struct {
 // prints these runs and TestWeakLoopPathologyShape asserts its premise
 // on them.
 func e10Runs(o Options) []sim.Result {
-	// With materialization on, the pathological workload is generated
-	// once and every variant replays the shared packed buffer; in
-	// streaming mode it is built per job, so every worker owns its own
-	// stream state.
-	spec := func() ([]trace.Source, error) {
-		return []trace.Source{weakLoop(o.Seed)}, nil
-	}
-	if o.Mat != nil {
-		packed, err := trace.Pack(weakLoop(o.Seed), o.scale())
-		if err != nil {
-			panic(fmt.Errorf("exp: packing weak-loop workload: %w", err))
-		}
-		spec = runner.Packed(packed)
+	// The pathological workload is packed once; every variant replays
+	// the shared buffer.
+	packed, err := trace.Pack(weakLoop(o.Seed), o.scale())
+	if err != nil {
+		panic(fmt.Errorf("exp: packing weak-loop workload: %w", err))
 	}
 	jobs := make([]runner.Job, len(e10Variants))
 	for i, v := range e10Variants {
@@ -399,7 +391,7 @@ func e10Runs(o Options) []sim.Result {
 		jobs[i] = runner.Job{
 			Name:         v.label,
 			Config:       cfg,
-			Source:       spec,
+			Source:       runner.Packed(packed),
 			Instructions: o.scale(),
 		}
 	}

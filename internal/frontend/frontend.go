@@ -201,11 +201,6 @@ func (f *Thread) Stats() Stats {
 // for progress (live-lock) detection.
 func (f *Thread) Instructions() int64 { return f.stats.Instructions }
 
-// RegisterMetrics registers the thread's live counters under prefix.
-func (f *Thread) RegisterMetrics(r *metrics.Registry, prefix string) {
-	f.stats.Register(r, prefix)
-}
-
 // SetResolveHook registers an observer of every retired branch:
 // whether it was dynamically predicted and whether the prediction (or
 // static guess) was fully correct.

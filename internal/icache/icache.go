@@ -194,11 +194,6 @@ func New(cfg Config) *Hierarchy {
 // Stats returns a copy of the counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
-// RegisterMetrics registers the hierarchy's live counters under prefix.
-func (h *Hierarchy) RegisterMetrics(r *metrics.Registry, prefix string) {
-	h.stats.Register(r, prefix)
-}
-
 // SetFillHook registers an observer of every completed line fill.
 func (h *Hierarchy) SetFillHook(fn func(line zarch.Addr, ready int64)) { h.fillHook = fn }
 

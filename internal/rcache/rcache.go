@@ -6,11 +6,12 @@
 // cell returns in microseconds instead of re-burning millions of
 // simulated cycles, and at scale real sweep traffic is mostly repeats.
 //
-// Layering: an in-memory LRU (bounded by bytes) sits in front of an
-// optional on-disk store (atomic write-then-rename, size-bounded
-// eviction), with per-key singleflight so N concurrent requests for
-// the same uncomputed cell run one simulation and share the bytes —
-// the same semantics workload.Materializer gives trace buffers.
+// Layering: an in-memory LRU (internal/lru, bounded by bytes) sits in
+// front of an optional on-disk store (atomic write-then-rename,
+// size-bounded eviction), with per-key singleflight so N concurrent
+// requests for the same uncomputed cell run one simulation and share
+// the bytes. workload.Materializer keeps trace buffers in the same
+// LRU type, so both caches share these semantics.
 //
 // Integrity is end-to-end, not per-layer: the disk payload carries no
 // checksum on purpose. A checksum only catches bit-rot, not a wrong
@@ -22,13 +23,12 @@
 package rcache
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"zbp/internal/hashx"
+	"zbp/internal/lru"
 	"zbp/internal/metrics"
 	"zbp/internal/workload"
 )
@@ -159,41 +159,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is one resident cache line.
-type entry struct {
-	key Key
-	v   []byte
-}
-
 // entryOverhead approximates per-entry bookkeeping (list element, map
 // slot, key string) charged against MaxMemBytes so a flood of tiny
 // entries cannot balloon past the bound.
 const entryOverhead = 256
 
-// flight is a per-key singleflight slot: the first caller computes,
-// everyone else waits on done and shares v/err.
-type flight struct {
-	done chan struct{}
-	v    []byte
-	err  error
-}
-
 // Cache is the two-level content-addressed store. Safe for concurrent
-// use; reads and writes never hold the lock across a compute or a
-// disk access.
+// use; reads and writes never hold a lock across a compute or a disk
+// access.
 type Cache struct {
 	cfg Config
-
-	mu       sync.Mutex
-	entries  map[string]*list.Element // canonical key -> element
-	lru      *list.List               // front = most recently used
-	memBytes int64
-	inflight map[string]*flight
+	mem *lru.Cache[string, []byte] // keyed by the canonical spec string
 
 	hits       atomic.Int64 // served without computing (memory, disk, or coalesced)
 	misses     atomic.Int64 // a compute was started
 	puts       atomic.Int64 // a computed result was installed
-	evictions  atomic.Int64 // memory LRU evictions
 	coalesced  atomic.Int64 // hits that piggybacked on an in-flight compute
 	diskHits   atomic.Int64 // hits satisfied from the disk layer
 	diskErrors atomic.Int64 // unreadable/mismatched disk entries (treated as misses)
@@ -204,11 +184,10 @@ type Cache struct {
 // memory-only, so an operator never believes results persist when
 // they do not.
 func New(cfg Config) (*Cache, error) {
+	cfg = cfg.withDefaults()
 	c := &Cache{
-		cfg:      cfg.withDefaults(),
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[string]*flight),
+		cfg: cfg,
+		mem: lru.New[string](cfg.MaxMemBytes, func(v []byte) int64 { return int64(len(v)) + entryOverhead }),
 	}
 	if err := c.diskInit(); err != nil {
 		return nil, err
@@ -220,12 +199,12 @@ func New(cfg Config) (*Cache, error) {
 // disk hit is promoted into the memory LRU. The returned slice is
 // shared and must not be modified.
 func (c *Cache) Get(k Key) ([]byte, bool) {
-	if v, ok := c.memGet(k); ok {
+	if v, ok := c.mem.Get(k.canonical); ok {
 		c.hits.Add(1)
 		return v, true
 	}
 	if v, ok := c.diskLoad(k); ok {
-		c.memInstall(k, v)
+		c.mem.Put(k.canonical, v)
 		c.hits.Add(1)
 		c.diskHits.Add(1)
 		return v, true
@@ -236,7 +215,7 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 // Put installs v under k in both layers. Callers hand over ownership
 // of v.
 func (c *Cache) Put(k Key, v []byte) {
-	c.memInstall(k, v)
+	c.mem.Put(k.canonical, v)
 	c.diskStore(k, v)
 	c.puts.Add(1)
 }
@@ -250,116 +229,46 @@ func (c *Cache) Put(k Key, v []byte) {
 // (typically becoming the next computer) so one canceled request
 // cannot poison an identical healthy one.
 func (c *Cache) GetOrCompute(ctx context.Context, k Key, compute func(ctx context.Context) ([]byte, error)) (v []byte, hit bool, err error) {
-	for {
-		c.mu.Lock()
-		if el, ok := c.entries[k.canonical]; ok {
-			e := el.Value.(*entry)
-			c.lru.MoveToFront(el)
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return e.v, true, nil
+	fromDisk := false
+	v, how, err := c.mem.GetOrCompute(ctx, k.canonical, func(ctx context.Context) ([]byte, error) {
+		if v, ok := c.diskLoad(k); ok {
+			fromDisk = true
+			return v, nil
 		}
-		if f, ok := c.inflight[k.canonical]; ok {
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if f.err != nil {
-				// The computer failed (canceled, live-locked...). Its
-				// error is its own; go around again and recompute.
-				continue
-			}
-			c.hits.Add(1)
-			c.coalesced.Add(1)
-			return f.v, true, nil
+		c.misses.Add(1)
+		v, err := compute(ctx)
+		if err == nil {
+			c.diskStore(k, v)
+			c.puts.Add(1)
 		}
-		f := &flight{done: make(chan struct{})}
-		c.inflight[k.canonical] = f
-		c.mu.Unlock()
-
-		v, hit, err = c.fill(ctx, k, compute)
-		f.v, f.err = v, err
-		c.mu.Lock()
-		delete(c.inflight, k.canonical)
-		c.mu.Unlock()
-		close(f.done)
-		return v, hit, err
-	}
-}
-
-// fill resolves a freshly-claimed flight: disk first, then compute.
-func (c *Cache) fill(ctx context.Context, k Key, compute func(ctx context.Context) ([]byte, error)) ([]byte, bool, error) {
-	if v, ok := c.diskLoad(k); ok {
-		c.memInstall(k, v)
-		c.hits.Add(1)
-		c.diskHits.Add(1)
-		return v, true, nil
-	}
-	c.misses.Add(1)
-	v, err := compute(ctx)
-	if err != nil {
+		return v, err
+	})
+	switch {
+	case err != nil:
 		return nil, false, err
+	case how == lru.Coalesced:
+		c.coalesced.Add(1)
+	case fromDisk:
+		c.diskHits.Add(1)
+	case how == lru.Filled:
+		return v, false, nil
 	}
-	c.Put(k, v)
-	return v, false, nil
-}
-
-// memGet looks k up in the LRU, marking it most recently used.
-func (c *Cache) memGet(k Key) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k.canonical]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*entry).v, true
-}
-
-// memInstall inserts k into the LRU and evicts from the cold end
-// until the byte bound holds again (always keeping the newcomer).
-func (c *Cache) memInstall(k Key, v []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k.canonical]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	el := c.lru.PushFront(&entry{key: k, v: v})
-	c.entries[k.canonical] = el
-	c.memBytes += int64(len(v)) + entryOverhead
-	for c.memBytes > c.cfg.MaxMemBytes && c.lru.Len() > 1 {
-		cold := c.lru.Back()
-		ce := cold.Value.(*entry)
-		c.lru.Remove(cold)
-		delete(c.entries, ce.key.canonical)
-		c.memBytes -= int64(len(ce.v)) + entryOverhead
-		c.evictions.Add(1)
-	}
+	c.hits.Add(1)
+	return v, true, nil
 }
 
 // Len returns the number of resident in-memory entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
+func (c *Cache) Len() int { return c.mem.Len() }
 
 // MemBytes returns the charged in-memory footprint.
-func (c *Cache) MemBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.memBytes
-}
+func (c *Cache) MemBytes() int64 { return c.mem.Bytes() }
 
 // Counter accessors, exported for service gauges and tests.
 
 func (c *Cache) Hits() int64       { return c.hits.Load() }
 func (c *Cache) Misses() int64     { return c.misses.Load() }
 func (c *Cache) Puts() int64       { return c.puts.Load() }
-func (c *Cache) Evictions() int64  { return c.evictions.Load() }
+func (c *Cache) Evictions() int64  { return c.mem.Evictions() }
 func (c *Cache) Coalesced() int64  { return c.coalesced.Load() }
 func (c *Cache) DiskHits() int64   { return c.diskHits.Load() }
 func (c *Cache) DiskErrors() int64 { return c.diskErrors.Load() }

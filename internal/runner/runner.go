@@ -20,59 +20,55 @@ import (
 	"zbp/internal/workload"
 )
 
-// SourceSpec builds the per-thread trace sources for one job. It is a
-// factory, not a source: it is invoked inside the worker so each job
-// gets fresh, independent stream state no matter which worker runs it
-// or in what order.
-type SourceSpec func() ([]trace.Source, error)
+// SourceSpec supplies the per-thread packed traces for one job. It is
+// a factory, not a trace: the worker calls it with the job's
+// instruction budget, so a batch holds only the traces of the jobs
+// running now (plus whatever a shared cache keeps), and each job
+// replays its own cursors no matter which worker runs it or in what
+// order.
+type SourceSpec func(n int) ([]*trace.Packed, error)
 
 // Workload returns a SourceSpec for a single-threaded run of the named
-// generated workload.
-func Workload(name string, seed uint64) SourceSpec {
-	return func() ([]trace.Source, error) {
-		src, err := workload.Make(name, seed)
+// generated workload, packed for the job alone.
+func Workload(name string, seed uint64) SourceSpec { return Cached(nil, name, seed) }
+
+// Cached returns a SourceSpec for a single-threaded run of the named
+// workload, drawn from mz at the job's budget: jobs sharing a key
+// replay one buffer while it stays resident. A nil mz packs for the
+// job alone.
+func Cached(mz *workload.Materializer, name string, seed uint64) SourceSpec {
+	return func(n int) ([]*trace.Packed, error) {
+		p, err := mz.Get(name, seed, n)
 		if err != nil {
 			return nil, err
 		}
-		return []trace.Source{src}, nil
-	}
-}
-
-// Packed returns a SourceSpec replaying a shared, pre-materialized
-// trace. Each job gets its own value-type cursor over the same
-// immutable buffer, so any number of workers replay concurrently
-// without locks, per-record decode, or regeneration — the
-// materialize-once, replay-many path sweep campaigns use.
-func Packed(p *trace.Packed) SourceSpec {
-	return func() ([]trace.Source, error) {
-		c := p.Cursor()
-		return []trace.Source{&c}, nil
-	}
-}
-
-// PackedSMT2 returns a SourceSpec running two shared packed traces,
-// one per hardware thread.
-func PackedSMT2(a, b *trace.Packed) SourceSpec {
-	return func() ([]trace.Source, error) {
-		ca, cb := a.Cursor(), b.Cursor()
-		return []trace.Source{&ca, &cb}, nil
+		return []*trace.Packed{p}, nil
 	}
 }
 
 // SMT2 returns a SourceSpec running two named workloads, one per
-// hardware thread.
+// hardware thread, packed for the job alone.
 func SMT2(nameA string, seedA uint64, nameB string, seedB uint64) SourceSpec {
-	return func() ([]trace.Source, error) {
-		a, err := workload.Make(nameA, seedA)
+	return func(n int) ([]*trace.Packed, error) {
+		a, err := workload.MakePacked(nameA, seedA, n)
 		if err != nil {
 			return nil, err
 		}
-		b, err := workload.Make(nameB, seedB)
+		b, err := workload.MakePacked(nameB, seedB, n)
 		if err != nil {
 			return nil, err
 		}
-		return []trace.Source{a, b}, nil
+		return []*trace.Packed{a, b}, nil
 	}
+}
+
+// Packed returns a SourceSpec replaying shared, pre-materialized
+// traces, one per hardware thread. Each job gets its own value-type
+// cursors over the same immutable buffers, so any number of workers
+// replay concurrently without locks, per-record decode, or
+// regeneration.
+func Packed(ps ...*trace.Packed) SourceSpec {
+	return func(int) ([]*trace.Packed, error) { return ps, nil }
 }
 
 // Job is one independent simulation: a configuration, the source
@@ -83,10 +79,11 @@ type Job struct {
 	// Config is the full simulation setup (copied by value; jobs never
 	// share mutable state).
 	Config sim.Config
-	// Source builds the per-thread traces inside the worker.
+	// Source supplies the per-thread traces inside the worker.
 	Source SourceSpec
-	// Instructions bounds each thread's trace (0 = unbounded; the
-	// sources must then terminate on their own).
+	// Instructions bounds each thread's replay and is the budget Source
+	// packs for. 0 replays whole buffers, which only Packed specs have:
+	// packing a generator needs a positive budget.
 	Instructions int
 }
 
@@ -108,21 +105,6 @@ type Pool struct {
 	Parallelism int
 }
 
-// workers returns the effective worker count for n jobs.
-func (p *Pool) workers(n int) int {
-	w := p.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Run executes every job and returns results in job order. Results are
 // identical regardless of Parallelism: each worker writes only its
 // job's slot and each job builds all of its own state. A panic inside
@@ -138,36 +120,50 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) []Result {
 		ctx = context.Background()
 	}
 	results := make([]Result, len(jobs))
-	if len(jobs) == 0 {
-		return results
+	Each(ctx, len(jobs), p.Parallelism, func(i int) {
+		results[i] = runOne(ctx, jobs[i])
+	}, func(i int) {
+		results[i] = Result{Name: jobs[i].Name, Err: fmt.Errorf("runner: job %q: %w", jobs[i].Name, ctx.Err())}
+	})
+	return results
+}
+
+// Each calls do(i) for every i in [0, n) on at most parallelism
+// workers (<=0 means GOMAXPROCS) and returns once every call has
+// returned. When ctx is done, the indices not yet handed to a worker
+// go to skipped instead, on the calling goroutine. do and skipped
+// never see the same index, so both may write slot i of a shared
+// result slice without locks.
+func Each(ctx context.Context, n, parallelism int, do, skipped func(i int)) {
+	w := parallelism
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
+	w = min(w, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := p.workers(len(jobs)); w > 0; w-- {
+	for ; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = runOne(ctx, jobs[i])
+				do(i)
 			}
 		}()
 	}
 feed:
-	for i := range jobs {
+	for i := 0; i < n; i++ {
 		select {
 		case idx <- i:
 		case <-ctx.Done():
-			// The batch is canceled: every job from i on was never
-			// handed to a worker, so no one else writes those slots.
-			for j := i; j < len(jobs); j++ {
-				results[j] = Result{Name: jobs[j].Name, Err: fmt.Errorf("runner: job %q: %w", jobs[j].Name, ctx.Err())}
+			for j := i; j < n; j++ {
+				skipped(j)
 			}
 			break feed
 		}
 	}
 	close(idx)
 	wg.Wait()
-	return results
 }
 
 // runOne executes a single job, converting panics into errors so one
@@ -189,21 +185,18 @@ func runOne(ctx context.Context, job Job) (res Result) {
 		res.Err = fmt.Errorf("runner: job %q: %w", job.Name, err)
 		return res
 	}
-	srcs, err := job.Source()
+	ps, err := job.Source(job.Instructions)
 	if err != nil {
 		res.Err = fmt.Errorf("runner: job %q: %w", job.Name, err)
 		return res
 	}
-	if job.Instructions > 0 {
-		for i, src := range srcs {
-			// Packed cursors bound themselves: no Limit wrapper, so the
-			// hot loop keeps a single interface hop per record.
-			if c, ok := src.(*trace.Cursor); ok {
-				c.Limit(job.Instructions)
-			} else {
-				srcs[i] = trace.Limit(src, job.Instructions)
-			}
+	srcs := make([]trace.Source, len(ps))
+	for i, p := range ps {
+		c := p.Cursor()
+		if job.Instructions > 0 {
+			c.Limit(job.Instructions)
 		}
+		srcs[i] = &c
 	}
 	res.Res, err = sim.New(job.Config, srcs).RunCtx(ctx, 0)
 	if err != nil {

@@ -19,12 +19,12 @@ func mixedBatch(t testing.TB) []Job {
 	shrunk.Core.BTB1.RowBits = 8
 	noPref := sim.Z15()
 	noPref.Prefetch = false
-	custom := func() ([]trace.Source, error) {
-		src, err := workload.Make("loops", 7)
+	custom := func(n int) ([]*trace.Packed, error) {
+		p, err := workload.MakePacked("loops", 7, n)
 		if err != nil {
 			return nil, err
 		}
-		return []trace.Source{src}, nil
+		return []*trace.Packed{p}, nil
 	}
 	return []Job{
 		{Name: "lspr/z15", Config: sim.Z15(), Source: Workload("lspr", 42), Instructions: 30000},
@@ -74,7 +74,7 @@ func TestPoolOrderPreserved(t *testing.T) {
 // while every other job still completes; the pool must not deadlock or
 // leak the panic.
 func TestPoolPanicDrains(t *testing.T) {
-	boom := func() ([]trace.Source, error) {
+	boom := func(int) ([]*trace.Packed, error) {
 		panic("synthetic source failure")
 	}
 	jobs := []Job{

@@ -274,6 +274,7 @@ func (l *local) Register(reg *metrics.Registry) {
 	gauge("zbpd.workers", func() float64 { return float64(l.cfg.Workers) })
 	gauge("zbpd.mat_traces", func() float64 { return float64(l.mz.Count()) })
 	gauge("zbpd.mat_bytes", func() float64 { return float64(l.mz.FootprintBytes()) })
+	gauge("zbpd.mat_evictions_total", func() float64 { return float64(l.mz.Evictions()) })
 }
 
 // Shutdown refuses new queue work and waits for every accepted

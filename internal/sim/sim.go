@@ -17,7 +17,6 @@ import (
 	"zbp/internal/dirpred"
 	"zbp/internal/frontend"
 	"zbp/internal/icache"
-	"zbp/internal/metrics"
 	"zbp/internal/tgt"
 	"zbp/internal/trace"
 	"zbp/internal/zarch"
@@ -171,44 +170,6 @@ func New(cfg Config, srcs []trace.Source) *Sim {
 
 // Core exposes the predictor for white-box verification.
 func (s *Sim) Core() *core.Core { return s.core }
-
-// Registry builds a live metrics registry over the wired simulation:
-// every component's counters and histograms by reference (readable
-// mid-run or after Run), occupancy gauges, and the derived headline
-// gauges. Post-run exports normally go through Result.StatsSnapshot,
-// which uses the same metric names; the live registry adds mid-run
-// observability on top.
-func (s *Sim) Registry() *metrics.Registry {
-	reg := metrics.NewRegistry()
-	reg.Label("config", s.cfg.Core.Name)
-	s.core.RegisterMetrics(reg)
-	for i, t := range s.threads {
-		t.RegisterMetrics(reg, fmt.Sprintf("thread%d", i))
-	}
-	if s.ic != nil {
-		s.ic.RegisterMetrics(reg, "icache")
-	}
-	reg.Gauge("sim.instructions", func() float64 {
-		var n int64
-		for _, t := range s.threads {
-			n += t.Stats().Instructions
-		}
-		return float64(n)
-	})
-	reg.Gauge("sim.mpki", func() float64 {
-		var instr, miss int64
-		for _, t := range s.threads {
-			st := t.Stats()
-			instr += st.Instructions
-			miss += st.Mispredicts()
-		}
-		if instr == 0 {
-			return 0
-		}
-		return float64(miss) / float64(instr) * 1000
-	})
-	return reg
-}
 
 // ErrLiveLock reports that a run made no forward progress (no
 // instruction retired) for liveLockWindow cycles, which indicates a

@@ -138,11 +138,6 @@ func New(cfg Config) *Unit {
 // Stats returns a copy of the counters.
 func (u *Unit) Stats() Stats { return u.stats }
 
-// RegisterMetrics registers the unit's live counters under prefix.
-func (u *Unit) RegisterMetrics(r *metrics.Registry, prefix string) {
-	u.stats.Register(r, prefix)
-}
-
 func (u *Unit) ctbIndex(g history.GPV) int {
 	// The CTB is indexed solely as a function of the prior code path
 	// (§VI).

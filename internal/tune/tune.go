@@ -74,12 +74,6 @@ type Study struct {
 	Score func(avgMPKI, avgIPC float64) float64
 	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
 	Parallelism int
-	// Streaming disables the materialize-once pipeline: each design
-	// point regenerates its workloads from scratch, the pre-PR-3
-	// behavior. Results are byte-identical either way (the packed path
-	// replays the exact generated stream); materialized studies only
-	// generate each workload once instead of once per design point.
-	Streaming bool
 }
 
 // points enumerates the cartesian product of axis values.
@@ -116,8 +110,8 @@ func (s *Study) Size() int {
 }
 
 // Run evaluates every design point and returns outcomes sorted by
-// Score (best first). It validates the study eagerly and panics on
-// structural errors (empty axes, unknown workloads).
+// Score (best first). It panics on structural errors (empty axes) and
+// on a failed simulation (unknown workload).
 func (s *Study) Run() []Outcome {
 	if len(s.Workloads) == 0 || s.Instructions <= 0 {
 		panic("tune: study needs workloads and a positive instruction budget")
@@ -125,31 +119,6 @@ func (s *Study) Run() []Outcome {
 	for _, a := range s.Axes {
 		if len(a.Values) == 0 {
 			panic(fmt.Sprintf("tune: axis %q has no values", a.Name))
-		}
-	}
-	// Build one SourceSpec per workload up front. The default path
-	// materializes each workload exactly once — the whole cartesian
-	// product then replays shared packed buffers — and doubles as the
-	// eager workload-name validation.
-	specs := make(map[string]runner.SourceSpec, len(s.Workloads))
-	for _, w := range s.Workloads {
-		// Each workload gets its own derived seed: reusing the study seed
-		// verbatim made every workload's generator draw the identical
-		// random stream, correlating cells across workloads. Every design
-		// point still replays the same per-workload trace, so cross-point
-		// comparisons stay exact.
-		ws := hashx.SeedFor(s.Seed, w)
-		if s.Streaming {
-			if _, err := workload.Make(w, 1); err != nil {
-				panic(err)
-			}
-			specs[w] = runner.Workload(w, ws)
-		} else {
-			p, err := workload.MakePacked(w, ws, s.Instructions)
-			if err != nil {
-				panic(err)
-			}
-			specs[w] = runner.Packed(p)
 		}
 	}
 	score := s.Score
@@ -160,7 +129,10 @@ func (s *Study) Run() []Outcome {
 	// One job per (design point, workload) cell: the pool is fed the
 	// whole study at once, so a point with one slow workload does not
 	// idle a worker, and the bounded pool replaces the old
-	// goroutine-per-point fan-out.
+	// goroutine-per-point fan-out. Every job draws its trace from one
+	// Materializer: the workers pack each workload once, when its first
+	// job starts, and the whole cartesian product replays that buffer.
+	mz := workload.NewMaterializer()
 	pts := s.points()
 	jobs := make([]runner.Job, 0, len(pts)*len(s.Workloads))
 	labels := make([][]string, len(pts))
@@ -174,9 +146,15 @@ func (s *Study) Run() []Outcome {
 		}
 		for _, w := range s.Workloads {
 			jobs = append(jobs, runner.Job{
-				Name:         w,
-				Config:       cfg,
-				Source:       specs[w],
+				Name:   w,
+				Config: cfg,
+				// Each workload gets its own derived seed: reusing the
+				// study seed verbatim made every workload's generator draw
+				// the identical random stream, correlating cells across
+				// workloads. Every design point still replays the same
+				// per-workload trace, so cross-point comparisons stay
+				// exact.
+				Source:       runner.Cached(mz, w, hashx.SeedFor(s.Seed, w)),
 				Instructions: s.Instructions,
 			})
 		}

@@ -1,10 +1,10 @@
 package workload
 
 import (
+	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"zbp/internal/lru"
 	"zbp/internal/trace"
 )
 
@@ -12,8 +12,13 @@ import (
 // packs them into an immutable trace.Packed for repeated replay. This
 // is the materialize-once entry point sweep campaigns use: generation
 // and validation are paid a single time, then every design point
-// replays a zero-decode cursor over the shared buffer.
+// replays a zero-decode cursor over the shared buffer. n must be
+// positive: a generator never ends, so packing it without a budget
+// would never return.
 func MakePacked(name string, seed uint64, n int) (*trace.Packed, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("workload: packing %s: budget %d is not positive", name, n)
+	}
 	src, err := Make(name, seed)
 	if err != nil {
 		return nil, err
@@ -25,17 +30,22 @@ func MakePacked(name string, seed uint64, n int) (*trace.Packed, error) {
 	return p, nil
 }
 
+// matCacheBytes bounds the packed traces one Materializer keeps
+// resident. A full zexp suite at default scale keeps 178 MB. A
+// variable, not a constant, so tests can lower it.
+var matCacheBytes int64 = 256 << 20
+
 // Materializer caches packed workload traces by (name, seed, budget),
 // so a whole experiment campaign — many experiments sweeping many
 // configurations over the same workloads — generates each workload
-// exactly once for the entire run. The cache is safe for concurrent
-// use and uses per-key singleflight: concurrent callers of the same
-// key share one materialization, while distinct keys materialize in
-// parallel instead of serializing behind a cache-wide lock. The cached
-// buffers are immutable and shared by reference.
+// once while it stays resident. It is an internal/lru cache bounded by
+// matCacheBytes, with per-key singleflight: concurrent callers of one
+// key share one materialization, distinct keys materialize in
+// parallel, and a failed materialization is not cached. An evicted key
+// re-materializes byte-identically on its next Get; a replay already
+// holding the evicted buffer keeps it alive until it ends.
 type Materializer struct {
-	mu sync.Mutex
-	m  map[matKey]*matEntry
+	c *lru.Cache[matKey, *trace.Packed]
 }
 
 type matKey struct {
@@ -44,53 +54,37 @@ type matKey struct {
 	n    int
 }
 
-// matEntry is one key's singleflight slot. The entry is inserted into
-// the map (under mu) before anything is generated; the expensive
-// generation+pack runs inside once with mu released, so it only ever
-// blocks callers of the same key. done publishes p/err to readers that
-// did not run the Once body (Count, FootprintBytes).
-type matEntry struct {
-	once sync.Once
-	done atomic.Bool
-	p    *trace.Packed
-	err  error
-}
-
 // NewMaterializer returns an empty cache.
 func NewMaterializer() *Materializer {
-	return &Materializer{m: make(map[matKey]*matEntry)}
+	return &Materializer{c: lru.New[matKey](matCacheBytes, func(p *trace.Packed) int64 { return int64(p.SizeBytes()) })}
 }
 
 // Get returns the packed trace for (name, seed, n), materializing it
 // on first use. Concurrent callers of the same key block until the
 // single materialization finishes rather than duplicating the work;
-// callers of different keys do not block each other.
+// callers of different keys do not block each other. A nil
+// Materializer caches nothing and packs afresh on every call.
 //
 // The cache key uses the workload's content identity (SpecID), not its
 // name: a file-backed workload whose bytes changed on disk is a
 // different key and re-materializes instead of replaying the stale
 // buffer.
 func (mz *Materializer) Get(name string, seed uint64, n int) (*trace.Packed, error) {
+	if mz == nil {
+		return MakePacked(name, seed, n)
+	}
 	id, err := SpecID(name)
 	if err != nil {
 		return nil, err
 	}
 	key := matKey{id, seed, n}
-	mz.mu.Lock()
-	e, ok := mz.m[key]
-	if !ok {
-		e = &matEntry{}
-		mz.m[key] = e
-	}
-	mz.mu.Unlock()
-	e.once.Do(func() {
+	p, _, err := mz.c.GetOrCompute(context.TODO(), key, func(context.Context) (*trace.Packed, error) {
 		if hook := materializeHook; hook != nil {
 			hook(key.name, key.seed, key.n)
 		}
-		e.p, e.err = MakePacked(name, seed, n)
-		e.done.Store(true)
+		return MakePacked(name, seed, n)
 	})
-	return e.p, e.err
+	return p, err
 }
 
 // materializeHook, when non-nil, is invoked once per actual
@@ -98,30 +92,14 @@ func (mz *Materializer) Get(name string, seed uint64, n int) (*trace.Packed, err
 // behaviour; it must be set before any Get runs.
 var materializeHook func(name string, seed uint64, n int)
 
-// Count returns the number of distinct traces successfully
-// materialized so far. In-flight materializations are not counted.
-func (mz *Materializer) Count() int {
-	mz.mu.Lock()
-	defer mz.mu.Unlock()
-	count := 0
-	for _, e := range mz.m {
-		if e.done.Load() && e.err == nil {
-			count++
-		}
-	}
-	return count
-}
+// Count returns the number of resident traces. In-flight
+// materializations are not counted.
+func (mz *Materializer) Count() int { return mz.c.Len() }
 
-// FootprintBytes returns the total heap footprint of every cached
-// buffer, for logging and capacity planning.
-func (mz *Materializer) FootprintBytes() int {
-	mz.mu.Lock()
-	defer mz.mu.Unlock()
-	total := 0
-	for _, e := range mz.m {
-		if e.done.Load() && e.err == nil {
-			total += e.p.SizeBytes()
-		}
-	}
-	return total
-}
+// FootprintBytes returns the heap footprint of the resident buffers,
+// for logging and capacity planning. It never exceeds the cache bound
+// unless a single trace is larger than the bound on its own.
+func (mz *Materializer) FootprintBytes() int { return int(mz.c.Bytes()) }
+
+// Evictions returns how many traces the bound has pushed out.
+func (mz *Materializer) Evictions() int64 { return mz.c.Evictions() }

@@ -172,7 +172,7 @@ func (b *Builder) fail(err error) {
 // bytes as on real z code). The block initially has no branch; wire one
 // with the BlockRef terminator methods or leave it as a fallthrough.
 func (b *Builder) Block(padBytes int) BlockRef {
-	n := node{addr: b.cursor, fall: -1}
+	n := node{addr: b.cursor}
 	remaining := padBytes
 	for remaining >= 2 {
 		var ln uint8
@@ -229,13 +229,6 @@ func chooseFirst(_ *Exec, targets []zarch.Addr) zarch.Addr { return targets[0] }
 // Jump ends the block with an unconditional relative branch to target.
 func (r BlockRef) Jump(target Target) {
 	r.setBranch(zarch.KindUncondRel, 4,
-		func(*Exec) bool { return true }, chooseFirst, target)
-}
-
-// JumpInd ends the block with an unconditional indirect branch to a
-// single fixed target (e.g. a function pointer that never changes).
-func (r BlockRef) JumpInd(target Target) {
-	r.setBranch(zarch.KindUncondInd, 2,
 		func(*Exec) bool { return true }, chooseFirst, target)
 }
 
@@ -424,11 +417,6 @@ func (r BlockRef) SwitchWeighted(targets []Target, weights []int) {
 		}, targets...)
 }
 
-// SetFall overrides the not-taken / fallthrough successor, which
-// defaults to the next block created. The successor's entry address
-// must equal this block's end address (checked at Build).
-func (r BlockRef) SetFall(next BlockRef) { r.b.nodes[r.idx].fall = next.idx }
-
 // Build validates the layout, resolves forward references and returns
 // the executable Program entered at entry.
 func (b *Builder) Build(entry BlockRef) (*Program, error) {
@@ -459,9 +447,7 @@ func (b *Builder) Build(entry BlockRef) (*Program, error) {
 			}
 			n.tgtAddrs = append(n.tgtAddrs, a)
 		}
-		if n.fall == -1 {
-			n.fall = i + 1
-		}
+		n.fall = i + 1
 		if n.isCall {
 			// The NSIA pushed by a call must itself be a block entry so
 			// the matching Return can resume there.
@@ -522,7 +508,6 @@ type Exec struct {
 	// for (paper §VI).
 	tgtRing [8]zarch.Addr
 	tgtPos  int
-	ctx     uint16
 }
 
 // recentTgt returns the lag-th most recent taken-branch target (lag 1 =
@@ -541,7 +526,7 @@ func NewExec(p *Program, seed uint64) *Exec {
 
 // Reset rewinds the interpreter to its initial state (trace.Resetter):
 // the replayed stream is identical to a fresh NewExec with the same
-// seed, but the built Program is reused. SetCtx state is cleared.
+// seed, but the built Program is reused.
 func (e *Exec) Reset() {
 	p, seed := e.p, e.seed
 	slot := e.slot
@@ -552,9 +537,6 @@ func (e *Exec) Reset() {
 		stack: e.stack[:0], slot: slot}
 	e.padAdr = p.nodes[p.entry].addr
 }
-
-// SetCtx sets the context ID stamped on emitted records.
-func (e *Exec) SetCtx(ctx uint16) { e.ctx = ctx }
 
 func (e *Exec) histBit(lag int) bool { return e.hist>>(lag-1)&1 == 1 }
 
@@ -577,7 +559,7 @@ func (e *Exec) Next() (trace.Rec, bool) {
 		n := &e.p.nodes[e.cur]
 		if e.padPos < len(n.padLens) {
 			ln := n.padLens[e.padPos]
-			r := trace.Rec{Addr: e.padAdr, Meta: trace.RecMeta(ln, 0, false), CtxID: e.ctx}
+			r := trace.Rec{Addr: e.padAdr, Meta: trace.RecMeta(ln, 0, false)}
 			e.padPos++
 			e.padAdr += zarch.Addr(ln)
 			return r, true
@@ -608,7 +590,7 @@ func (e *Exec) Next() (trace.Rec, bool) {
 			if n.brKind.Conditional() {
 				e.pushHist(taken)
 			}
-			r := trace.NewRec(n.brAddr, n.brLen, n.brKind, taken, target, e.ctx)
+			r := trace.NewRec(n.brAddr, n.brLen, n.brKind, taken, target, 0)
 			if taken {
 				e.path = e.path<<7 ^ e.path>>57 ^ uint64(target)>>1
 				e.tgtPos = (e.tgtPos + 1) % len(e.tgtRing)

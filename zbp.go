@@ -78,13 +78,8 @@ func Limit(src Source, n int) Source { return trace.Limit(src, n) }
 type Packed = trace.Packed
 
 // MaterializeWorkload generates n instructions of the named workload
-// once and packs them for repeated replay:
-//
-//	p, _ := zbp.MaterializeWorkload("lspr", 42, 1_000_000)
-//	c := p.Cursor()
-//	res := zbp.Run(zbp.Z15(), &c, 1_000_000)
-//
-// Replays are byte-identical to the streaming source.
+// once and packs them for repeated replay (see the example). n must be
+// positive. Replays are byte-identical to the streaming source.
 func MaterializeWorkload(name string, seed uint64, n int) (*Packed, error) {
 	return workload.MakePacked(name, seed, n)
 }
