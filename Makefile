@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet fmt-check bench bench-smoke bench-allocs bench-nsinstr bench-check exp race cover fuzz golden golden-wchar serve serve-smoke jobs-smoke diff-smoke cluster-smoke zwork-smoke staticcheck
+.PHONY: all build test vet fmt-check bench bench-smoke bench-allocs bench-nsinstr bench-check exp race cover fuzz golden golden-wchar serve serve-smoke jobs-smoke diff-smoke cluster-smoke zwork-smoke staticcheck golines
 
 all: build vet test
 
@@ -51,6 +51,12 @@ bench-check:
 
 exp:
 	go run ./cmd/zexp -scale 2000000
+
+# Print the size figure simplicity changes quote: non-test Go lines in
+# internal/, cmd/, examples/ and zbp.go that are neither blank nor
+# `//`-only. It gates nothing.
+golines:
+	@sh scripts/golines.sh
 
 cover:
 	go test -coverprofile=cover.out ./... && go tool cover -func=cover.out | tail -1

@@ -6,6 +6,7 @@
 package zbp
 
 import (
+	"context"
 	"io"
 	"testing"
 	"time"
@@ -44,7 +45,9 @@ func benchRun(b *testing.B, cfg sim.Config, wl string, seed uint64) sim.Result {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cur.Reset()
-		res = sim.RunWorkload(cfg, &cur, benchInstr)
+		if res, err = sim.RunWorkloadCtx(context.Background(), cfg, &cur, benchInstr); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(res.MPKI(), "MPKI")
 	b.ReportMetric(res.IPC(), "IPC")
@@ -257,7 +260,9 @@ func BenchmarkSBHTPathology(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cur.Reset()
-				res = sim.RunWorkload(cfg, &cur, benchInstr)
+				if res, err = sim.RunWorkloadCtx(context.Background(), cfg, &cur, benchInstr); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(res.Threads[0].DynWrongDir), "wrong-directions")
 		})

@@ -57,7 +57,7 @@ func main() {
 		queue    = flag.Int("queue", 16, "accepted requests waiting beyond the running ones before 429")
 		maxN     = flag.Int("max-instructions", 20_000_000, "per-thread instruction cap per request")
 		defN     = flag.Int("default-instructions", 1_000_000, "instruction budget when a request omits one")
-		maxCells = flag.Int("max-sweep-cells", 64, "sweep grid size cap")
+		maxCells = flag.Int("max-sweep-cells", 0, "sweep grid size cap (0 = the role's default: 64 on a backend, 16384 on a coordinator)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "default per-request simulation deadline")
 		maxTO    = flag.Duration("max-timeout", 5*time.Minute, "upper clamp on request-supplied deadlines")
 		grace    = flag.Duration("grace", 30*time.Second, "shutdown drain budget for in-flight work")
@@ -110,6 +110,7 @@ func main() {
 			AdmitBurst:          *admitBurst,
 			MaxInstructions:     *maxN,
 			DefaultInstructions: *defN,
+			MaxSweepCells:       *maxCells,
 			DefaultTimeout:      *timeout,
 			MaxTimeout:          *maxTO,
 			MaxJobs:             *maxJobs,

@@ -1,9 +1,9 @@
 // Command zdiff runs the differential equivalence harness
 // (internal/equiv) over a grid of (config, workload) cells: every cell
 // is executed along multiple paths that must agree exactly (packed vs
-// streaming, pooled vs direct, cancellable vs plain run loop, reset
-// reuse, event-log replay) plus metamorphic invariants, and any
-// divergence is reported with the cell and the first diverging metric.
+// streaming, pooled vs direct, cancellable vs plain run loop, event-log
+// replay) plus metamorphic invariants, and any divergence is reported
+// with the cell and the first diverging metric.
 //
 // Usage:
 //

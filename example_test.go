@@ -1,6 +1,7 @@
 package zbp_test
 
 import (
+	"context"
 	"fmt"
 
 	"zbp"
@@ -45,7 +46,10 @@ func ExampleNewSim() {
 	s := zbp.NewSim(zbp.Z15(), []zbp.Source{
 		zbp.Limit(a, 20_000), zbp.Limit(b, 20_000),
 	})
-	res := s.Run(0)
+	res, err := s.RunCtx(context.Background(), 0)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("threads:", len(res.Threads))
 	fmt.Println("both finished:", res.Threads[0].Done && res.Threads[1].Done)
 	// Output:

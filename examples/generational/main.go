@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -22,7 +23,10 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		res := sim.RunWorkload(sim.ForGeneration(gen), src, n)
+		res, err := sim.RunWorkloadCtx(context.Background(), sim.ForGeneration(gen), src, n)
+		if err != nil {
+			panic(err)
+		}
 		delta := ""
 		if prev > 0 {
 			delta = " (" + metrics.Delta(prev, res.MPKI()) + ")"

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -19,7 +20,11 @@ func run(cfg sim.Config) sim.Result {
 	if err != nil {
 		panic(err)
 	}
-	return sim.RunWorkload(cfg, src, n)
+	res, err := sim.RunWorkloadCtx(context.Background(), cfg, src, n)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 func main() {

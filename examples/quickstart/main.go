@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"zbp/internal/btb"
@@ -19,7 +20,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	res := sim.RunWorkload(sim.Z15(), src, 500_000)
+	res, err := sim.RunWorkloadCtx(context.Background(), sim.Z15(), src, 500_000)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println("z15 on the `patterned` workload:")
 	fmt.Printf("  instructions      %d\n", res.Instructions())

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -28,30 +29,36 @@ func srcs(seedA, seedB uint64) []trace.Source {
 	return []trace.Source{trace.Limit(a, n), trace.Limit(b, n)}
 }
 
+func run(cfg sim.Config, srcs []trace.Source) sim.Result {
+	res, err := sim.New(cfg, srcs).RunCtx(context.Background(), 0)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func main() {
 	tab := metrics.NewTable("configuration", "cycles", "aggregate IPC", "MPKI")
 
 	// z15 SMT2: both threads at once, one shared port.
-	s := srcs(1, 2)
-	smt := sim.New(sim.Z15(), s).Run(0)
+	smt := run(sim.Z15(), srcs(1, 2))
 	tab.Row("z15 SMT2 (shared 64B port)", smt.Cycles,
 		fmt.Sprintf("%.2f", smt.IPC()), fmt.Sprintf("%.2f", smt.MPKI()))
 
 	// z15 single-thread, back to back.
 	var totalCycles int64
 	var totalInstr int64
-	for i, src := range srcs(1, 2) {
-		res := sim.New(sim.Z15(), []trace.Source{src}).Run(0)
+	for _, src := range srcs(1, 2) {
+		res := run(sim.Z15(), []trace.Source{src})
 		totalCycles += res.Cycles
 		totalInstr += res.Instructions()
-		_ = i
 	}
 	tab.Row("z15 two ST runs, serialized", totalCycles,
 		fmt.Sprintf("%.2f", float64(totalInstr)/float64(totalCycles)), "--")
 
 	// z14 SMT2: dual 32B ports, each thread searches every cycle.
 	z14 := sim.ForGeneration(core.Z14())
-	smt14 := sim.New(z14, srcs(1, 2)).Run(0)
+	smt14 := run(z14, srcs(1, 2))
 	tab.Row("z14 SMT2 (dual 32B ports)", smt14.Cycles,
 		fmt.Sprintf("%.2f", smt14.IPC()), fmt.Sprintf("%.2f", smt14.MPKI()))
 

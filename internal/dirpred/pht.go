@@ -104,13 +104,6 @@ func (t *phtTable) at(addr zarch.Addr, way int, g history.GPV) *phtEntry {
 	return &t.ways[way][t.index(addr, g)]
 }
 
-// matches reports whether the entry still belongs to (addr, g); between
-// prediction and completion it may have been replaced.
-func (t *phtTable) matches(addr zarch.Addr, way int, g history.GPV) bool {
-	e := t.at(addr, way, g)
-	return e.valid && e.tag == t.tag(addr, g)
-}
-
 // writeBack stores the completion-computed counter state. The value is
 // computed from the GPQ-snapshotted prediction-time state, not
 // read-modify-write (§IV); see dirpred.Selection.

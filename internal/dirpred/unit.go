@@ -153,13 +153,11 @@ type Selection struct {
 
 	Taken    bool
 	Provider Provider
-	// AltTaken/AltProvider record what would have been predicted
-	// without the primary provider (§V: the GPQ stores the alternate).
-	AltTaken    bool
-	AltProvider Provider
+	// AltTaken records what would have been predicted without the
+	// primary provider (§V: the GPQ stores the alternate).
+	AltTaken bool
 
 	// Snapshots for completion-time updates.
-	BHTTaken  bool
 	ShortHit  bool
 	LongHit   bool
 	ShortTkn  bool
@@ -194,7 +192,6 @@ func (u *Unit) Select(in Input) Selection {
 		sel.Taken = true
 		sel.AltTaken = true
 		sel.Provider = ProvNone
-		sel.AltProvider = ProvNone
 		return sel
 	}
 
@@ -222,13 +219,11 @@ func (u *Unit) Select(in Input) Selection {
 			sel.BHTState = in.BHT.Strengthen()
 		}
 	}
-	sel.BHTTaken = bhtTaken
 
 	if !in.Bidirectional || !in.AllowAux {
 		sel.Taken = bhtTaken
 		sel.Provider = bhtProv
 		sel.AltTaken = bhtTaken
-		sel.AltProvider = bhtProv
 		return sel
 	}
 
@@ -288,7 +283,6 @@ func (u *Unit) Select(in Input) Selection {
 			sel.Taken = res.Taken
 			sel.Provider = ProvPerceptron
 			sel.AltTaken = phtTaken
-			sel.AltProvider = phtProv
 			return sel
 		}
 	}
@@ -298,7 +292,6 @@ func (u *Unit) Select(in Input) Selection {
 	// The alternate for a PHT provider is the BHT direction (§V); when
 	// the PHT did not provide, provider and alternate coincide.
 	sel.AltTaken = bhtTaken
-	sel.AltProvider = bhtProv
 	return sel
 }
 

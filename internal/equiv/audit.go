@@ -8,6 +8,7 @@ import (
 
 	"zbp/internal/core"
 	"zbp/internal/metrics"
+	"zbp/internal/rcache"
 	"zbp/internal/sim"
 	"zbp/internal/trace"
 	"zbp/internal/verif"
@@ -18,38 +19,12 @@ import (
 // the pairwise checks in CheckNames.
 const AuditCheck = "cache-audit"
 
-// AuditCell identifies one cached simulation cell: the same content
-// address the result cache (internal/rcache) keys on, so a cached
-// stats payload can be re-derived from nothing but this spec. By the
-// service convention, Workload2 (when set) runs on the second
+// Recompute derives cell's canonical stats JSON from scratch — fresh
+// generator, fresh packed buffer, fresh predictor state — so it shares
+// no trace cache with the serving path whose result it checks. By the
+// rcache.CellSpec convention, Workload2 (when set) runs on the second
 // hardware thread at Seed+1.
-type AuditCell struct {
-	Config       string
-	Workload     string
-	Workload2    string
-	Seed         uint64
-	Instructions int
-}
-
-// Name renders the cell like Cell.Name, with the SMT2 partner when
-// present.
-func (c AuditCell) Name() string {
-	if c.Workload2 != "" {
-		return fmt.Sprintf("%s/%s+%s/s%d/n%d", c.Config, c.Workload, c.Workload2, c.Seed, c.Instructions)
-	}
-	return fmt.Sprintf("%s/%s/s%d/n%d", c.Config, c.Workload, c.Seed, c.Instructions)
-}
-
-// Audit is the cache-poisoning detector: it recomputes cell from
-// scratch — fresh generator, fresh packed buffer, fresh predictor
-// state — and byte-compares the canonical stats JSON against the
-// cached payload. The simulator's determinism (enforced by this
-// package's exact pairs) is what makes this sound: any byte of
-// divergence means the cached value is not what this simulator
-// produces for this spec, i.e. a poisoned, stale-schema, or corrupted
-// entry. Divergences come back as findings (check "cache-audit");
-// a non-nil error means the cell could not be recomputed at all.
-func Audit(ctx context.Context, cell AuditCell, cached []byte) ([]verif.Finding, error) {
+func Recompute(ctx context.Context, cell rcache.CellSpec) ([]byte, error) {
 	if cell.Instructions <= 0 {
 		return nil, fmt.Errorf("equiv: audit cell %s needs a positive instruction budget", cell.Name())
 	}
@@ -75,24 +50,36 @@ func Audit(ctx context.Context, cell AuditCell, cached []byte) ([]verif.Finding,
 	if err != nil {
 		return nil, err
 	}
-	fresh, err := res.StatsJSON()
-	if err != nil {
-		return nil, err
-	}
+	return res.StatsJSON()
+}
+
+// Audit is the cache-poisoning verdict: it byte-compares a fresh
+// recomputation of cell with the cached payload. The simulator's
+// determinism (enforced by this package's exact pairs) is what makes
+// this sound: any byte of divergence means the cached value is not
+// what this simulator produces for this spec, i.e. a poisoned,
+// stale-schema, or corrupted entry. Divergences come back as findings
+// (check "cache-audit") naming the first diverging metric; a non-nil
+// error means fresh is not stats JSON, so there is no verdict.
+func Audit(cell rcache.CellSpec, fresh, cached []byte) ([]verif.Finding, error) {
 	if bytes.Equal(fresh, cached) {
 		return nil, nil
+	}
+	var want metrics.Snapshot
+	if err := json.Unmarshal(fresh, &want); err != nil {
+		return nil, fmt.Errorf("equiv: recomputed %s is not stats JSON: %w", cell.Name(), err)
 	}
 
 	// Attribute the divergence: decode the cached payload as a
 	// snapshot and diff metric by metric; an undecodable payload is
 	// corruption in its own right.
 	f := verif.Finding{Check: AuditCheck, Cell: cell.Name(), Cycle: -1}
-	var snap metrics.Snapshot
-	if uerr := json.Unmarshal(cached, &snap); uerr != nil {
-		f.Detail = fmt.Sprintf("cached stats payload is not valid stats JSON: %v", uerr)
+	var got metrics.Snapshot
+	if err := json.Unmarshal(cached, &got); err != nil {
+		f.Detail = fmt.Sprintf("cached stats payload is not valid stats JSON: %v", err)
 		return []verif.Finding{f}, nil
 	}
-	diffs := metrics.DiffSnapshots(snap, res.StatsSnapshot())
+	diffs := metrics.DiffSnapshots(got, want)
 	if len(diffs) == 0 {
 		f.Detail = "cached payload bytes differ from the canonical serialization (non-canonical or corrupted encoding)"
 		return []verif.Finding{f}, nil

@@ -8,14 +8,16 @@ import (
 
 	"zbp/internal/core"
 	"zbp/internal/metrics"
+	"zbp/internal/rcache"
 	"zbp/internal/sim"
 	"zbp/internal/trace"
+	"zbp/internal/verif"
 	"zbp/internal/workload"
 )
 
 // auditFixture recomputes cell the same way a healthy cache fill
 // would, returning the canonical stats payload.
-func auditFixture(t *testing.T, cell AuditCell) []byte {
+func auditFixture(t *testing.T, cell rcache.CellSpec) []byte {
 	t.Helper()
 	gen, err := core.ByName(cell.Config)
 	if err != nil {
@@ -46,16 +48,27 @@ func auditFixture(t *testing.T, cell AuditCell) []byte {
 	return b
 }
 
-var auditCell = AuditCell{Config: "z15", Workload: "loops", Seed: 42, Instructions: 20_000}
+var auditCell = rcache.CellSpec{Config: "z15", Workload: "loops", Seed: 42, Instructions: 20_000}
+
+// recomputeAndAudit is the auditor's whole verdict on one cached
+// payload: recompute the cell, then compare.
+func recomputeAndAudit(t *testing.T, cell rcache.CellSpec, cached []byte) []verif.Finding {
+	t.Helper()
+	fresh, err := Recompute(context.Background(), cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := Audit(cell, fresh, cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return findings
+}
 
 // TestAuditCleanPayload: an honestly cached payload audits clean.
 func TestAuditCleanPayload(t *testing.T) {
 	payload := auditFixture(t, auditCell)
-	findings, err := Audit(context.Background(), auditCell, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
+	if findings := recomputeAndAudit(t, auditCell, payload); len(findings) != 0 {
 		t.Fatalf("clean payload flagged: %+v", findings)
 	}
 }
@@ -64,13 +77,9 @@ func TestAuditCleanPayload(t *testing.T) {
 // an audit that materialized the second thread any other way would
 // flag every SMT2 cell.
 func TestAuditCleanSMT2(t *testing.T) {
-	cell := AuditCell{Config: "z15", Workload: "loops", Workload2: "micro", Seed: 42, Instructions: 20_000}
+	cell := rcache.CellSpec{Config: "z15", Workload: "loops", Workload2: "micro", Seed: 42, Instructions: 20_000}
 	payload := auditFixture(t, cell)
-	findings, err := Audit(context.Background(), cell, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
+	if findings := recomputeAndAudit(t, cell, payload); len(findings) != 0 {
 		t.Fatalf("clean SMT2 payload flagged: %+v", findings)
 	}
 }
@@ -90,10 +99,7 @@ func TestAuditDetectsTamperedMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	findings, err := Audit(context.Background(), auditCell, tampered)
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := recomputeAndAudit(t, auditCell, tampered)
 	if len(findings) != 1 {
 		t.Fatalf("findings = %+v, want exactly one", findings)
 	}
@@ -112,10 +118,7 @@ func TestAuditDetectsTamperedMetric(t *testing.T) {
 // TestAuditDetectsGarbagePayload: bytes that are not stats JSON at
 // all are corruption, reported as such.
 func TestAuditDetectsGarbagePayload(t *testing.T) {
-	findings, err := Audit(context.Background(), auditCell, []byte("not json at all"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := recomputeAndAudit(t, auditCell, []byte("not json at all"))
 	if len(findings) != 1 || !strings.Contains(findings[0].Detail, "not valid stats JSON") {
 		t.Fatalf("findings = %+v", findings)
 	}
@@ -135,38 +138,27 @@ func TestAuditDetectsNonCanonicalEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := Audit(context.Background(), auditCell, compact)
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := recomputeAndAudit(t, auditCell, compact)
 	if len(findings) != 1 || !strings.Contains(findings[0].Detail, "non-canonical or corrupted encoding") {
 		t.Fatalf("findings = %+v", findings)
 	}
 }
 
-// TestAuditBadCell: an unrecomputable cell is an error, not a
-// finding — the auditor has no verdict, and the caller counts it
-// separately.
+// TestAuditBadCell: an unrecomputable cell, or a recompute that is
+// not stats JSON, is an error, not a finding — the auditor has no
+// verdict, and the caller counts it separately.
 func TestAuditBadCell(t *testing.T) {
-	cases := []AuditCell{
+	cases := []rcache.CellSpec{
 		{Config: "z15", Workload: "no-such-workload", Seed: 1, Instructions: 1000},
 		{Config: "no-such-config", Workload: "loops", Seed: 1, Instructions: 1000},
 		{Config: "z15", Workload: "loops", Seed: 1, Instructions: 0},
 	}
 	for _, cell := range cases {
-		if _, err := Audit(context.Background(), cell, []byte("{}")); err == nil {
+		if _, err := Recompute(context.Background(), cell); err == nil {
 			t.Errorf("cell %+v: expected an error", cell)
 		}
 	}
-}
-
-// TestAuditCellName pins the spec rendering used in findings and logs.
-func TestAuditCellName(t *testing.T) {
-	if got := auditCell.Name(); got != "z15/loops/s42/n20000" {
-		t.Errorf("name %q", got)
-	}
-	smt := AuditCell{Config: "z14", Workload: "lspr", Workload2: "micro", Seed: 7, Instructions: 500}
-	if got := smt.Name(); got != "z14/lspr+micro/s7/n500" {
-		t.Errorf("SMT2 name %q", got)
+	if _, err := Audit(auditCell, []byte("not json"), []byte("{}")); err == nil {
+		t.Error("a non-JSON recompute must be an error")
 	}
 }

@@ -4,11 +4,10 @@
 // path, the same (config, workload, seed, budget) cell is pushed
 // through pairs of paths that must agree exactly — packed replay vs
 // streaming generation, pooled vs direct execution, cancellable vs
-// plain run loop, reset-reuse vs fresh state, event-log reconstruction
-// (a run with an EventSink attached) vs counter aggregation — plus
-// metamorphic invariants (capacity monotonicity, prefix bounds, SMT2
-// aggregation sanity) that need not be exact but bound how results may
-// move.
+// plain run loop, event-log reconstruction (a run with an EventSink
+// attached) vs counter aggregation — plus metamorphic invariants
+// (capacity monotonicity, prefix bounds, SMT2 aggregation sanity) that
+// need not be exact but bound how results may move.
 //
 // Every perf PR runs this harness (cmd/zdiff, `make diff-smoke`)
 // before it lands: the map-order nondeterminism in icache.Tick and the
@@ -73,14 +72,13 @@ type Check struct {
 	run  func(ctx context.Context, env *cellEnv, rep *verif.DiffReport) error
 }
 
-// Checks returns every registered check in execution order: the five
+// Checks returns every registered check in execution order: the four
 // exact pairs first, then the metamorphic invariants.
 func Checks() []Check {
 	return []Check{
 		{"packed-vs-streaming", Exact, checkPackedVsStreaming},
 		{"pool-1-vs-n", Exact, checkPool1VsN},
 		{"run-vs-runctx", Exact, checkRunVsRunCtx},
-		{"fresh-vs-reset", Exact, checkFreshVsReset},
 		{"event-replay", Exact, checkEventReplay},
 		{"btb1-monotonic", Invariant, checkBTB1Monotonic},
 		{"warmup-prefix", Invariant, checkWarmupPrefix},
@@ -116,8 +114,6 @@ type Options struct {
 	// Checks selects a subset by name; nil or empty runs every check.
 	// An unknown name fails the cell (see ValidateChecks).
 	Checks []string
-	// PoolParallelism is the N side of the pool-1-vs-n pair (default 4).
-	PoolParallelism int
 	// Perturb deliberately corrupts the second side of the exact pairs
 	// (one BTB1/BHT entry preloaded before the run) so a harness
 	// deployment can prove, end to end, that a real divergence is

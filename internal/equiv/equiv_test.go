@@ -81,7 +81,7 @@ func TestPerturbDetected(t *testing.T) {
 	res := CheckCell(context.Background(), cell, Options{
 		Perturb: true,
 		// Exact pairs that route through the perturbed sim constructor.
-		Checks: []string{"packed-vs-streaming", "run-vs-runctx", "fresh-vs-reset", "event-replay"},
+		Checks: []string{"packed-vs-streaming", "run-vs-runctx", "event-replay"},
 	})
 	if res.Err != nil {
 		t.Fatalf("perturbed cell errored: %v", res.Err)
@@ -119,7 +119,7 @@ func TestPerturbEachExactPair(t *testing.T) {
 		t.Skip("per-check perturbation sweep skipped in short mode")
 	}
 	cell := Cell{Config: "z15", Workload: "patterned", Seed: testSeed, Instructions: testScale}
-	for _, name := range []string{"packed-vs-streaming", "run-vs-runctx", "fresh-vs-reset", "event-replay"} {
+	for _, name := range []string{"packed-vs-streaming", "run-vs-runctx", "event-replay"} {
 		res := CheckCell(context.Background(), cell, Options{Perturb: true, Checks: []string{name}})
 		if res.Err != nil {
 			t.Fatalf("%s: %v", name, res.Err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"zbp/internal/core"
+	"zbp/internal/rcache"
 	"zbp/internal/sim"
 	"zbp/internal/trace"
 	"zbp/internal/workload"
@@ -98,14 +99,10 @@ func TestIngestedTracePackedVsStreaming(t *testing.T) {
 func TestAuditDetectsSwappedTraceFile(t *testing.T) {
 	dir := t.TempDir()
 	path := writeIngestedTrace(t, dir, 42, 20_000)
-	cell := AuditCell{Config: "z15", Workload: workload.FilePrefix + path, Seed: 42, Instructions: 20_000}
+	cell := rcache.CellSpec{Config: "z15", Workload: workload.FilePrefix + path, Seed: 42, Instructions: 20_000}
 
 	payload := auditFixture(t, cell)
-	findings, err := Audit(context.Background(), cell, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
+	if findings := recomputeAndAudit(t, cell, payload); len(findings) != 0 {
 		t.Fatalf("honest file-backed payload flagged: %+v", findings)
 	}
 
@@ -114,11 +111,7 @@ func TestAuditDetectsSwappedTraceFile(t *testing.T) {
 	if swapped != path {
 		t.Fatalf("fixture wrote %s, want %s", swapped, path)
 	}
-	findings, err = Audit(context.Background(), cell, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) == 0 {
+	if findings := recomputeAndAudit(t, cell, payload); len(findings) == 0 {
 		t.Fatal("audit missed a swapped trace file: stale cached stats audit clean")
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"zbp/internal/workload"
 )
 
-// The five exact pairs. Each one re-executes the cell along a
+// The four exact pairs. Each one re-executes the cell along a
 // transformed path and demands byte-identical stats JSON against the
 // canonical baseline (a plain packed-cursor RunCtx run). On a mismatch
 // the finding names the first diverging metric, so the report reads
@@ -118,11 +118,7 @@ func checkPackedVsStreaming(ctx context.Context, env *cellEnv, rep *verif.DiffRe
 // count must never leak into results, and both must match the direct
 // baseline (the old pool determinism test, folded in).
 func checkPool1VsN(ctx context.Context, env *cellEnv, rep *verif.DiffReport) error {
-	par := env.opts.PoolParallelism
-	if par <= 1 {
-		par = 4
-	}
-	const copies = 3
+	const par, copies = 4, 3
 	jobs := make([]runner.Job, copies)
 	for i := range jobs {
 		jobs[i] = runner.Job{
@@ -186,43 +182,6 @@ func checkRunVsRunCtx(ctx context.Context, env *cellEnv, rep *verif.DiffReport) 
 			"RunCtx with a never-firing context reported Truncated")
 	}
 	return env.compareExact(rep, "run-vs-runctx", "RunCtx(cancellable ctx)", res)
-}
-
-// checkFreshVsReset runs the streaming source once, rewinds it with
-// Reset (workload.Exec slot reuse), and runs a fresh simulation over
-// the reused source: state reuse must replay the identical stream.
-func checkFreshVsReset(ctx context.Context, env *cellEnv, rep *verif.DiffReport) error {
-	src, err := workload.Make(env.cell.Workload, env.cell.Seed)
-	if err != nil {
-		return err
-	}
-	rsrc, ok := src.(trace.Resetter)
-	if !ok {
-		// No resettable generator: fall back to cursor reset so the
-		// pair still exercises reuse.
-		cur := env.packed.Cursor()
-		if _, err := sim.New(env.cfg, []trace.Source{&cur}).RunCtx(ctx, 0); err != nil {
-			return err
-		}
-		cur.Reset()
-		res, err := env.newSim([]trace.Source{&cur}).RunCtx(ctx, 0)
-		if err != nil {
-			return err
-		}
-		return env.compareExact(rep, "fresh-vs-reset", "reset cursor reuse", res)
-	}
-	// First use: drain the budget through a throwaway run.
-	if _, err := sim.New(env.cfg, []trace.Source{trace.Limit(src, env.cell.Instructions)}).RunCtx(ctx, 0); err != nil {
-		return err
-	}
-	rsrc.Reset()
-	res, err := env.newSim([]trace.Source{trace.Limit(src, env.cell.Instructions)}).RunCtx(ctx, 0)
-	if err != nil {
-		return err
-	}
-	// The reset source must agree with the packed baseline, which was
-	// materialized from a fresh generator: reset == fresh.
-	return env.compareExact(rep, "fresh-vs-reset", "generator Reset reuse", res)
 }
 
 // histTotal sums a histogram's bucket counts (= observations).

@@ -42,9 +42,6 @@ type Config struct {
 	// BadPredPenalty is the restart cost when the IDU detects a
 	// prediction on a non-branch / mid-instruction (§IV).
 	BadPredPenalty int64
-	// PrefetchEnabled wires BPL searches into the I-cache as
-	// prefetches.
-	PrefetchEnabled bool
 }
 
 // DefaultConfig returns the modeled z15 front-end parameters.
@@ -53,8 +50,7 @@ func DefaultConfig() Config {
 		DispatchWidth: 6, FetchBytes: 32,
 		RestartPenalty: 26, QueueRefillPenalty: 8,
 		SurpriseTakenRelPenalty: 6, SurpriseTakenIndPenalty: 30,
-		BadPredPenalty:  26,
-		PrefetchEnabled: true,
+		BadPredPenalty: 26,
 	}
 }
 

@@ -16,8 +16,8 @@
 // Integrity is end-to-end, not per-layer: the disk payload carries no
 // checksum on purpose. A checksum only catches bit-rot, not a wrong
 // compute or a poisoned write, and it would mask exactly the failures
-// the equiv-backed cache auditor (equiv.Audit, sampled over live
-// hits) exists to catch. The header line guards key identity (hash
+// the cache auditor (equiv.Recompute and equiv.Audit, sampled over
+// live hits) exists to catch. The header line guards key identity (hash
 // collision, truncated file); the *values* are proven honest by
 // recomputation.
 package rcache
@@ -44,7 +44,7 @@ const FormatVersion = 1
 // run exactly; two specs that canonicalize equal address the same
 // result bytes.
 //
-// Convention (shared with the zbpd service and equiv.Audit): when
+// Convention (shared with the zbpd service and equiv.Recompute): when
 // Workload2 is set, the second hardware thread runs it at Seed+1.
 type CellSpec struct {
 	// Config is a machine preset name; empty canonicalizes to "z15",
@@ -59,6 +59,15 @@ type CellSpec struct {
 	Seed uint64
 	// Instructions is the per-thread budget.
 	Instructions int
+}
+
+// Name renders the spec as "config/workload/s<seed>/n<budget>", with
+// the SMT2 partner as "workload+workload2", for findings and logs.
+func (s CellSpec) Name() string {
+	if s.Workload2 != "" {
+		return fmt.Sprintf("%s/%s+%s/s%d/n%d", s.Config, s.Workload, s.Workload2, s.Seed, s.Instructions)
+	}
+	return fmt.Sprintf("%s/%s/s%d/n%d", s.Config, s.Workload, s.Seed, s.Instructions)
 }
 
 // canonicalized fills defaults so equivalent specs render identically,

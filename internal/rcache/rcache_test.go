@@ -16,6 +16,18 @@ import (
 	"zbp/internal/metrics"
 )
 
+// TestCellSpecName pins the spec rendering used in findings and logs.
+func TestCellSpecName(t *testing.T) {
+	st := CellSpec{Config: "z15", Workload: "loops", Seed: 42, Instructions: 20_000}
+	if got := st.Name(); got != "z15/loops/s42/n20000" {
+		t.Errorf("name %q", got)
+	}
+	smt := CellSpec{Config: "z14", Workload: "lspr", Workload2: "micro", Seed: 7, Instructions: 500}
+	if got := smt.Name(); got != "z14/lspr+micro/s7/n500" {
+		t.Errorf("SMT2 name %q", got)
+	}
+}
+
 // TestKeyCanonicalization: equivalent specs address the same bytes.
 // A default-filled request ("" config) and the explicit service
 // default must hash equal, because the HTTP layer accepts both forms

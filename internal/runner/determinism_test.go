@@ -68,7 +68,10 @@ func TestPoolSharedPackedCursors(t *testing.T) {
 	want := make([][]byte, len(jobs))
 	for i, job := range jobs {
 		c := packed.CursorN(job.Instructions)
-		res := sim.New(job.Config, []trace.Source{&c}).Run(0)
+		res, err := sim.New(job.Config, []trace.Source{&c}).RunCtx(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		js, err := res.StatsJSON()
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,9 @@ import (
 	"log"
 	"sync/atomic"
 
+	"zbp/internal/equiv"
 	"zbp/internal/rcache"
+	"zbp/internal/verif"
 )
 
 // ResultCache is the content-addressed result cache and its audit lane,
@@ -17,8 +19,9 @@ import (
 //
 // The cache's disk format carries no checksum, by design: the audit
 // lane is the integrity check instead. Every AuditEvery'th hit is
-// handed to one background goroutine that has the executor recompute
-// the cell (Executor.Audit) and compare it with what the cache served.
+// handed to one background goroutine: the executor recomputes the cell
+// (Executor.Recompute), and equiv.Audit judges the bytes against what
+// the cache served — one verdict on a single box and on a fleet.
 // A divergence — a poisoned entry, a stale-schema payload, bit rot —
 // lands in the cache_audit_failures_total gauge and the log.
 type ResultCache struct {
@@ -95,15 +98,19 @@ func (c *ResultCache) auditLoop(ctx context.Context) {
 
 // runAudit recomputes one sampled hit and records the verdict.
 func (c *ResultCache) runAudit(ctx context.Context, t auditTask) {
-	findings, err := c.next.Audit(ctx, t.cell, t.stats)
+	fresh, err := c.next.Recompute(ctx, t.cell)
 	if err != nil && ctx.Err() != nil {
 		return // shutdown interrupted the recompute; not an audit
+	}
+	var findings []verif.Finding
+	if err == nil {
+		findings, err = equiv.Audit(t.cell, fresh, t.stats)
 	}
 	c.Audits.Add(1)
 	switch {
 	case err != nil:
 		c.AuditErrors.Add(1)
-		log.Printf("cache audit error: cell %+v key %s: %v", t.cell, t.key.Hash(), err)
+		log.Printf("cache audit error: cell %s key %s: %v", t.cell.Name(), t.key.Hash(), err)
 	case len(findings) > 0:
 		c.AuditFailures.Add(int64(len(findings)))
 		for _, f := range findings {

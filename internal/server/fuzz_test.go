@@ -20,7 +20,7 @@ type stubExec struct{}
 func (stubExec) Exec(context.Context, rcache.CellSpec, bool) (Outcome, error) {
 	return Outcome{Stats: []byte(`{"schema_version":1,"counters":{}}`)}, nil
 }
-func (stubExec) Audit(context.Context, rcache.CellSpec, []byte) ([]string, error) { return nil, nil }
+func (stubExec) Recompute(context.Context, rcache.CellSpec) ([]byte, error) { return nil, nil }
 func (stubExec) Diff(context.Context, DiffRequest, uint64, func(DiffCell)) ([]DiffCell, error) {
 	return nil, nil
 }

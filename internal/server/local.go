@@ -120,18 +120,11 @@ func (l *local) runCellSim(ctx context.Context, spec rcache.CellSpec) (sim.Resul
 	return sim.New(sim.ForGeneration(gen), srcs).RunCtx(ctx, 0)
 }
 
-// Audit recomputes a sampled hit from scratch through equiv.Audit —
-// the safety reference, deliberately independent of the serving path.
-func (l *local) Audit(ctx context.Context, cell rcache.CellSpec, stats []byte) ([]string, error) {
-	findings, err := equiv.Audit(ctx, equiv.AuditCell{
-		Config: cell.Config, Workload: cell.Workload, Workload2: cell.Workload2,
-		Seed: cell.Seed, Instructions: cell.Instructions,
-	}, stats)
-	out := make([]string, len(findings))
-	for i, f := range findings {
-		out[i] = f.Cell + ": " + f.Detail
-	}
-	return out, err
+// Recompute runs a sampled hit from scratch through equiv.Recompute —
+// the safety reference, deliberately independent of the serving path
+// and its shared trace cache.
+func (l *local) Recompute(ctx context.Context, cell rcache.CellSpec) ([]byte, error) {
+	return equiv.Recompute(ctx, cell)
 }
 
 // Diff runs the harness grid inside one queue slot, one cell at a time,

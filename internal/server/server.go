@@ -179,9 +179,9 @@ type Executor interface {
 	// Exec resolves one validated cell. noCache asks every cache below
 	// the front end's own to recompute too.
 	Exec(ctx context.Context, cell rcache.CellSpec, noCache bool) (Outcome, error)
-	// Audit recomputes a sampled cache hit and describes each way the
-	// cached stats diverge from the recomputation.
-	Audit(ctx context.Context, cell rcache.CellSpec, stats []byte) ([]string, error)
+	// Recompute derives a sampled cache hit's stats again without
+	// reading any cache, for the audit lane to compare.
+	Recompute(ctx context.Context, cell rcache.CellSpec) ([]byte, error)
 	// Diff runs the equivalence harness over a validated grid, handing
 	// each finished cell to onCell (if set) as it lands.
 	Diff(ctx context.Context, req DiffRequest, seed uint64, onCell func(DiffCell)) ([]DiffCell, error)

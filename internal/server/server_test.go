@@ -91,7 +91,10 @@ func TestSimulateBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := sim.RunWorkload(sim.Z15(), src, 50_000)
+	direct, err := sim.RunWorkloadCtx(context.Background(), sim.Z15(), src, 50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if direct.MPKI() != out.MPKI || direct.Cycles != out.Cycles {
 		t.Errorf("service (mpki %v, cycles %d) disagrees with direct run (mpki %v, cycles %d)",
 			out.MPKI, out.Cycles, direct.MPKI(), direct.Cycles)
@@ -361,7 +364,10 @@ func TestSweepGrid(t *testing.T) {
 	}
 	// Determinism across the service boundary.
 	src, _ := workload.Make("loops", 42)
-	direct := sim.RunWorkload(sim.Z15(), src, 20_000)
+	direct, err := sim.RunWorkloadCtx(context.Background(), sim.Z15(), src, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out.Cells[2].MPKI != direct.MPKI() {
 		t.Errorf("sweep z15/loops MPKI %v != direct %v", out.Cells[2].MPKI, direct.MPKI())
 	}

@@ -228,7 +228,7 @@ func appendBool(b []byte, v bool) []byte {
 
 // SetEventSink wires sink into every event source of the simulation:
 // BPL predictions, completion-time resolves, front-end restarts and
-// I-cache fills. Call it before Run. A nil sink is a no-op; when no
+// I-cache fills. Call it before RunCtx. A nil sink is a no-op; when no
 // sink is set the hot path pays nothing beyond one nil hook check per
 // event site (verified by the capacity-sweep allocation benchmark).
 // The hooks fire beneath RunCtx's one cycle loop, so results stay

@@ -108,7 +108,10 @@ func TestGridSMT2Pairs(t *testing.T) {
 // so the target unit must cover most of its executions.
 func TestInterpreterCTBLearnsDispatch(t *testing.T) {
 	src, _ := workload.Make("interp", 3)
-	res := sim.RunWorkload(sim.Z15(), src, 400000)
+	res, err := sim.RunWorkloadCtx(context.Background(), sim.Z15(), src, 400000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	th := res.Threads[0]
 	ctbWrongRate := float64(th.TgtWrong[1]) / float64(max64(th.TgtProvided[1], 1))
 	if th.TgtProvided[1] < 1000 {
@@ -127,7 +130,10 @@ func TestInterpreterCTBLearnsDispatch(t *testing.T) {
 // in a band.
 func TestBTreeHardBranchesBoundAccuracy(t *testing.T) {
 	src, _ := workload.Make("btree", 3)
-	res := sim.RunWorkload(sim.Z15(), src, 400000)
+	res, err := sim.RunWorkloadCtx(context.Background(), sim.Z15(), src, 400000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if acc := res.Accuracy(); acc < 0.55 || acc > 0.92 {
 		t.Errorf("btree accuracy %.3f outside the bimodal band", acc)
 	}

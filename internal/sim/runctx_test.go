@@ -25,7 +25,7 @@ func straightLine(n int) trace.Source {
 }
 
 func TestAccuracyBranchFreeTrace(t *testing.T) {
-	res := RunWorkload(Z15(), straightLine(5000), 5000)
+	res := mustRun(t, Z15(), straightLine(5000), 5000)
 	if res.Branches() != 0 {
 		t.Fatalf("straight-line trace retired %d branches", res.Branches())
 	}
@@ -65,7 +65,10 @@ func TestRunMaxCyclesSetsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Z15(), []trace.Source{trace.Limit(src, 1_000_000)})
-	res := s.Run(5000)
+	res, err := s.RunCtx(context.Background(), 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Truncated {
 		t.Error("maxCycles-bounded run not marked Truncated")
 	}
@@ -85,8 +88,15 @@ func TestRunCtxMatchesRun(t *testing.T) {
 		}
 		return []trace.Source{trace.Limit(src, 100_000)}
 	}
-	want := New(Z15(), mk()).Run(0)
-	got, err := New(Z15(), mk()).RunCtx(context.Background(), 0)
+	want, err := New(Z15(), mk()).RunCtx(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cancellable context takes the loop's ctx-poll branch, which
+	// must not change the result.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := New(Z15(), mk()).RunCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +109,7 @@ func TestRunCtxMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(wb) != string(gb) {
-		t.Error("RunCtx(Background) stats differ from Run")
+		t.Error("RunCtx(cancellable ctx) stats differ from RunCtx(Background)")
 	}
 }
 

@@ -187,8 +187,7 @@ const liveLockWindow = 200000
 const ctxCheckMask = 4096 - 1
 
 // RunCtx executes until every thread's trace is exhausted, maxCycles
-// elapses (0 = no bound), or ctx is canceled. It is the error-returning
-// path long-running processes use:
+// elapses (0 = no bound), or ctx is canceled. It returns:
 //
 //   - trace exhausted: (complete result, nil)
 //   - maxCycles expired: (partial result with Truncated set, nil)
@@ -286,19 +285,6 @@ loop:
 	return res, runErr
 }
 
-// Run executes until every thread's trace is exhausted or maxCycles
-// elapses (0 = no bound; the result's Truncated flag distinguishes the
-// two). It panics on live-lock, which would indicate a model bug;
-// long-running processes should use RunCtx and handle ErrLiveLock
-// instead.
-func (s *Sim) Run(maxCycles int64) Result {
-	res, err := s.RunCtx(context.Background(), maxCycles)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 func (s *Sim) result() Result {
 	res := Result{
 		Name:   s.cfg.Core.Name,
@@ -332,16 +318,4 @@ func RunWorkloadCtx(ctx context.Context, cfg Config, src trace.Source, n int) (R
 	}
 	s := New(cfg, []trace.Source{trace.Limit(src, n)})
 	return s.RunCtx(ctx, 0)
-}
-
-// RunWorkload is the one-call convenience used by examples, CLIs and
-// benchmarks: simulate n instructions of src on cfg. It panics on
-// live-lock; use RunWorkloadCtx for the error-returning, cancellable
-// path.
-func RunWorkload(cfg Config, src trace.Source, n int) Result {
-	res, err := RunWorkloadCtx(context.Background(), cfg, src, n)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

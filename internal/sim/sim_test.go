@@ -1,12 +1,24 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"zbp/internal/core"
 	"zbp/internal/trace"
 	"zbp/internal/workload"
 )
+
+// mustRun simulates n instructions of src on cfg, failing the test on a
+// run error.
+func mustRun(t *testing.T, cfg Config, src trace.Source, n int) Result {
+	t.Helper()
+	res, err := RunWorkloadCtx(context.Background(), cfg, src, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestSmokeAllWorkloadsZ15(t *testing.T) {
 	for _, name := range workload.Names() {
@@ -16,7 +28,7 @@ func TestSmokeAllWorkloadsZ15(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := RunWorkload(Z15(), src, 30000)
+			res := mustRun(t, Z15(), src, 30000)
 			if res.Instructions() < 29000 {
 				t.Fatalf("retired only %d instructions", res.Instructions())
 			}
@@ -32,7 +44,7 @@ func TestSmokeAllWorkloadsZ15(t *testing.T) {
 
 func TestLoopsAreWellPredicted(t *testing.T) {
 	src, _ := workload.Make("loops", 1)
-	res := RunWorkload(Z15(), src, 200000)
+	res := mustRun(t, Z15(), src, 200000)
 	if acc := res.Accuracy(); acc < 0.95 {
 		t.Errorf("loops accuracy = %.4f, want >= 0.95", acc)
 	}
@@ -40,7 +52,7 @@ func TestLoopsAreWellPredicted(t *testing.T) {
 
 func TestPatternedLearnedByAux(t *testing.T) {
 	src, _ := workload.Make("patterned", 1)
-	res := RunWorkload(Z15(), src, 400000)
+	res := mustRun(t, Z15(), src, 400000)
 	// The only irreducible branch is the 50/50 one out of ~12 per
 	// iteration; everything else should be learned.
 	if acc := res.Accuracy(); acc < 0.90 {
@@ -55,7 +67,7 @@ func TestPatternedLearnedByAux(t *testing.T) {
 
 func TestCallReturnUsesCRS(t *testing.T) {
 	src, _ := workload.Make("callret", 1)
-	res := RunWorkload(Z15(), src, 300000)
+	res := mustRun(t, Z15(), src, 300000)
 	if res.Tgt.ReturnsMarked == 0 {
 		t.Error("no returns detected")
 	}
@@ -69,7 +81,7 @@ func TestCallReturnUsesCRS(t *testing.T) {
 
 func TestIndirectUsesCTB(t *testing.T) {
 	src, _ := workload.Make("indirect", 1)
-	res := RunWorkload(Z15(), src, 300000)
+	res := mustRun(t, Z15(), src, 300000)
 	if res.Tgt.Provided[1] == 0 { // ProvCTB
 		t.Error("CTB never provided a target")
 	}
@@ -91,9 +103,9 @@ func TestLSPRBTB2MattersForCapacity(t *testing.T) {
 		return cfg
 	}
 	src1, _ := workload.Make("lspr", 5)
-	with := RunWorkload(small(true), src1, 1000000)
+	with := mustRun(t, small(true), src1, 1000000)
 	src2, _ := workload.Make("lspr", 5)
-	without := RunWorkload(small(false), src2, 1000000)
+	without := mustRun(t, small(false), src2, 1000000)
 
 	sWith, sWithout := with.Threads[0].Surprises, without.Threads[0].Surprises
 	if float64(sWithout) < 1.03*float64(sWith) {
@@ -108,7 +120,10 @@ func TestSMT2RunsBothThreads(t *testing.T) {
 	a, _ := workload.Make("loops", 1)
 	b, _ := workload.Make("callret", 2)
 	s := New(Z15(), []trace.Source{trace.Limit(a, 50000), trace.Limit(b, 50000)})
-	res := s.Run(0)
+	res, err := s.RunCtx(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Threads) != 2 {
 		t.Fatalf("threads = %d", len(res.Threads))
 	}
@@ -125,7 +140,7 @@ func TestGenerationalMPKIOrdering(t *testing.T) {
 	mpki := map[string]float64{}
 	for _, gen := range core.Generations() {
 		src, _ := workload.Make("lspr-small", 9)
-		res := RunWorkload(ForGeneration(gen), src, 400000)
+		res := mustRun(t, ForGeneration(gen), src, 400000)
 		mpki[gen.Name] = res.MPKI()
 	}
 	if !(mpki["z15"] < mpki["z13"]) {
@@ -142,8 +157,8 @@ func TestPrefetchReducesFetchStall(t *testing.T) {
 	cfgOff.Prefetch = false
 	src1, _ := workload.Make("lspr", 3)
 	src2, _ := workload.Make("lspr", 3)
-	on := RunWorkload(cfgOn, src1, 300000)
-	off := RunWorkload(cfgOff, src2, 300000)
+	on := mustRun(t, cfgOn, src1, 300000)
+	off := mustRun(t, cfgOff, src2, 300000)
 	if on.Threads[0].FetchStall >= off.Threads[0].FetchStall {
 		t.Errorf("prefetch did not reduce fetch stalls: on=%d off=%d",
 			on.Threads[0].FetchStall, off.Threads[0].FetchStall)
@@ -157,7 +172,7 @@ func TestNoICacheStillRuns(t *testing.T) {
 	cfg := Z15()
 	cfg.ICache = nil
 	src, _ := workload.Make("loops", 1)
-	res := RunWorkload(cfg, src, 50000)
+	res := mustRun(t, cfg, src, 50000)
 	if res.Instructions() < 49000 {
 		t.Fatalf("retired %d", res.Instructions())
 	}
@@ -169,8 +184,8 @@ func TestNoICacheStillRuns(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	src1, _ := workload.Make("lspr-small", 4)
 	src2, _ := workload.Make("lspr-small", 4)
-	a := RunWorkload(Z15(), src1, 100000)
-	b := RunWorkload(Z15(), src2, 100000)
+	a := mustRun(t, Z15(), src1, 100000)
+	b := mustRun(t, Z15(), src2, 100000)
 	if a.Cycles != b.Cycles || a.Mispredicts() != b.Mispredicts() {
 		t.Errorf("nondeterminism: %d/%d cycles, %d/%d mispredicts",
 			a.Cycles, b.Cycles, a.Mispredicts(), b.Mispredicts())

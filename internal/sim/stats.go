@@ -8,9 +8,8 @@ import (
 )
 
 // Register exposes every counter, histogram and derived gauge of the
-// result in reg, under the same names the live Sim.Registry uses. The
-// receiver must outlive the registry: counters are registered by
-// pointer into the result's own stats structs.
+// result in reg. The receiver must outlive the registry: counters are
+// registered by pointer into the result's own stats structs.
 //
 // This is the machine-readable export path: the text reports in
 // cmd/zsim and internal/exp are renderers over the same counters, and

@@ -128,10 +128,9 @@ func (p *Packed) Stats() Stats {
 }
 
 // Cursor returns a value-type iterator positioned at the first record.
-// Take its address to use it as a Source: a *Cursor satisfies both
-// Source and Resetter. Creating, copying and resetting cursors never
-// allocates; any number of cursors replay the same buffer
-// concurrently.
+// Take its address to use it as a Source. Creating, copying and
+// resetting cursors never allocates; any number of cursors replay the
+// same buffer concurrently.
 func (p *Packed) Cursor() Cursor {
 	return Cursor{addr: p.addr, tgt: p.tgt, ctx: p.ctx, meta: p.meta, end: len(p.meta)}
 }
@@ -146,8 +145,7 @@ func (p *Packed) CursorN(n int) Cursor {
 // Cursor is an O(1) iterator over a Packed buffer: the column slice
 // headers plus a position and a bound. Holding the slices directly
 // (rather than a *Packed) keeps the per-record path to single-level
-// indexed loads. It implements Source and Resetter on its pointer
-// receiver.
+// indexed loads. It implements Source on its pointer receiver.
 type Cursor struct {
 	addr []zarch.Addr
 	tgt  []zarch.Addr
@@ -187,8 +185,8 @@ func (c *Cursor) Next() (Rec, bool) {
 	}, true
 }
 
-// Reset implements Resetter: it rewinds to the first record, keeping
-// any Limit applied before iteration started.
+// Reset rewinds to the first record, keeping any Limit applied before
+// iteration started.
 func (c *Cursor) Reset() { c.pos = 0 }
 
 // Remaining returns how many records the cursor will still yield.

@@ -92,8 +92,6 @@ func (s *sliceSource) Next() (Rec, bool) {
 	return r, true
 }
 
-func (s *sliceSource) Reset() { s.pos = 0 }
-
 func TestCursorSemantics(t *testing.T) {
 	recs := packTestRecs()
 	p, err := PackRecs(recs)

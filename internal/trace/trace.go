@@ -108,14 +108,6 @@ type Source interface {
 	Next() (Rec, bool)
 }
 
-// Resetter is implemented by sources that can rewind to their initial
-// state, replaying the identical record stream. Benchmarks and repeated
-// studies use it to reuse an expensively built source instead of
-// rebuilding it per run.
-type Resetter interface {
-	Reset()
-}
-
 // SliceSource adapts an in-memory record slice to a Source.
 type SliceSource struct {
 	recs []Rec
@@ -134,9 +126,6 @@ func (s *SliceSource) Next() (Rec, bool) {
 	s.pos++
 	return r, true
 }
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
 
 // Take drains up to n records from src into a slice. The requested
 // count only seeds the allocation up to a bound (see maxPreallocRecs):

@@ -68,10 +68,6 @@ func TestSliceSource(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Error("source not exhausted")
 	}
-	s.Reset()
-	if r, ok := s.Next(); !ok || r.Addr != 0x100 {
-		t.Error("Reset did not rewind")
-	}
 }
 
 func TestLimit(t *testing.T) {

@@ -27,34 +27,27 @@ import (
 // change, exactly like metrics.SchemaVersion.
 const SchemaVersion = 1
 
+// The yardsticks every report is measured with.
+const (
+	// localHistBits is the per-branch local-history depth conditioning
+	// the entropy estimate.
+	localHistBits = 8
+	// refTableBits sizes the reference gshare predictor's counter table
+	// (16K two-bit counters); refPredictor names that predictor.
+	refTableBits = 14
+	refPredictor = "gshare-14+last-target"
+)
+
 // Config sizes the characterization pass. The zero value gets
 // production-lean defaults.
 type Config struct {
 	// TopN bounds the H2P list. Default: 20.
 	TopN int
-	// LocalHistBits is the per-branch local-history depth conditioning
-	// the entropy estimate. Default: 8.
-	LocalHistBits int
-	// RefTableBits sizes the reference gshare predictor's counter
-	// table. Default: 14 (16K two-bit counters).
-	RefTableBits int
 }
 
 func (c Config) withDefaults() Config {
 	if c.TopN <= 0 {
 		c.TopN = 20
-	}
-	if c.LocalHistBits <= 0 {
-		c.LocalHistBits = 8
-	}
-	if c.LocalHistBits > 16 {
-		c.LocalHistBits = 16
-	}
-	if c.RefTableBits <= 0 {
-		c.RefTableBits = 14
-	}
-	if c.RefTableBits > 24 {
-		c.RefTableBits = 24
 	}
 	return c
 }
@@ -142,7 +135,7 @@ type bstate struct {
 // caller stamps Workload/Seed before serializing.
 //
 // The reference predictor is deliberately cheap and fixed: a gshare
-// direction predictor (2^RefTableBits two-bit counters indexed by
+// direction predictor (2^refTableBits two-bit counters indexed by
 // PC xor global history) plus a per-branch last-target predictor for
 // indirect targets. H2P identification needs a stable, simple
 // yardstick — the z15 model itself is the thing whose accuracy the
@@ -151,12 +144,12 @@ func Characterize(src trace.Source, max int, cfg Config) *Report {
 	cfg = cfg.withDefaults()
 	rep := &Report{SchemaVersion: SchemaVersion}
 
-	table := make([]uint8, 1<<cfg.RefTableBits)
+	table := make([]uint8, 1<<refTableBits)
 	for i := range table {
 		table[i] = 2 // weakly taken
 	}
 	mask := uint64(len(table) - 1)
-	histMask := uint32(1)<<cfg.LocalHistBits - 1
+	histMask := uint32(1)<<localHistBits - 1
 	var ghist uint64
 
 	branches := make(map[zarch.Addr]*bstate)
@@ -279,7 +272,7 @@ func Characterize(src trace.Source, max int, cfg Config) *Report {
 	if entropyWeight > 0 {
 		rep.HistoryEntropy = round6(entropyWeighted / entropyWeight)
 	}
-	rep.RefPredictor = refName(cfg)
+	rep.RefPredictor = refPredictor
 	rep.RefMispredicts = totalMisp
 	rep.RefAccuracy = round6(ratio(totalPred-totalMisp, totalPred))
 	if rep.Instructions > 0 {
@@ -310,25 +303,6 @@ func Characterize(src trace.Source, max int, cfg Config) *Report {
 		}
 	}
 	return rep
-}
-
-func refName(cfg Config) string {
-	return "gshare-" + itoa(cfg.RefTableBits) + "+last-target"
-}
-
-// itoa avoids strconv for the one tiny formatting need here.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // localEntropy is the branch's outcome entropy conditioned on its own

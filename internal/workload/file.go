@@ -281,13 +281,13 @@ func makeSpec(path string, seed uint64) (trace.Source, error) {
 	return NewMultiplex(srcs, spec.Slice), nil
 }
 
-// Loop replays a finite resettable source cyclically. The simulator
-// requires a contiguous record stream, so at each wrap Loop emits a
-// synthetic taken unconditional branch bridging the last record's
-// fallthrough back to the first record's address — the same glue the
-// trace ingest adapter uses at discontinuities.
+// Loop replays a packed trace cyclically. The simulator requires a
+// contiguous record stream, so at each wrap Loop emits a synthetic
+// taken unconditional branch bridging the last record's fallthrough
+// back to the first record's address — the same glue the trace ingest
+// adapter uses at discontinuities.
 type Loop struct {
-	src       sourceResetter
+	src       *trace.Cursor
 	started   bool
 	first     trace.Rec
 	last      trace.Rec
@@ -295,13 +295,8 @@ type Loop struct {
 	exhausted bool
 }
 
-type sourceResetter interface {
-	trace.Source
-	trace.Resetter
-}
-
 // NewLoop wraps src in cyclic replay.
-func NewLoop(src sourceResetter) *Loop { return &Loop{src: src} }
+func NewLoop(src *trace.Cursor) *Loop { return &Loop{src: src} }
 
 // Next implements trace.Source. An empty underlying source yields an
 // empty loop rather than spinning.
@@ -333,10 +328,4 @@ func (l *Loop) Next() (trace.Rec, bool) {
 	}
 	l.last = r
 	return r, true
-}
-
-// Reset implements trace.Resetter.
-func (l *Loop) Reset() {
-	l.src.Reset()
-	l.started, l.needGlue, l.exhausted = false, false, false
 }

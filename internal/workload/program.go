@@ -60,7 +60,7 @@ type Program struct {
 	entry  int
 	// slots is the number of behavioral-state slots the program's
 	// branch closures use; each Exec carries its own slot array, so
-	// several interpreters can share one Program and Reset can rewind.
+	// several interpreters can share one Program.
 	slots int
 }
 
@@ -487,9 +487,8 @@ const histDepth = 64
 // independent architectural context with its own rng, call stack and
 // branch history.
 type Exec struct {
-	p    *Program
-	rng  *hashx.Rand
-	seed uint64 // NewExec seed, kept for Reset
+	p   *Program
+	rng *hashx.Rand
 
 	cur    int // current node
 	padPos int // next pad instruction within the node
@@ -518,24 +517,10 @@ func (e *Exec) recentTgt(lag int) zarch.Addr {
 
 // NewExec returns an interpreter over p with the given rng seed.
 func NewExec(p *Program, seed uint64) *Exec {
-	e := &Exec{p: p, rng: hashx.New(seed), seed: seed, cur: p.entry,
+	e := &Exec{p: p, rng: hashx.New(seed), cur: p.entry,
 		slot: make([]int64, p.slots)}
 	e.padAdr = p.nodes[p.entry].addr
 	return e
-}
-
-// Reset rewinds the interpreter to its initial state (trace.Resetter):
-// the replayed stream is identical to a fresh NewExec with the same
-// seed, but the built Program is reused.
-func (e *Exec) Reset() {
-	p, seed := e.p, e.seed
-	slot := e.slot
-	for i := range slot {
-		slot[i] = 0
-	}
-	*e = Exec{p: p, rng: hashx.New(seed), seed: seed, cur: p.entry,
-		stack: e.stack[:0], slot: slot}
-	e.padAdr = p.nodes[p.entry].addr
 }
 
 func (e *Exec) histBit(lag int) bool { return e.hist>>(lag-1)&1 == 1 }
@@ -630,21 +615,6 @@ func NewMultiplex(srcs []trace.Source, slice int) *Multiplex {
 		panic("workload: NewMultiplex needs sources and a positive slice")
 	}
 	return &Multiplex{srcs: srcs, slice: slice, left: slice}
-}
-
-// Reset rewinds the multiplexer and every underlying source
-// (trace.Resetter). It panics if a source cannot be rewound; all
-// generator-built sources can.
-func (m *Multiplex) Reset() {
-	for _, src := range m.srcs {
-		r, ok := src.(trace.Resetter)
-		if !ok {
-			panic(fmt.Sprintf("workload: Multiplex source %T is not resettable", src))
-		}
-		r.Reset()
-	}
-	m.cur = 0
-	m.left = m.slice
 }
 
 // Next implements trace.Source.

@@ -55,9 +55,10 @@ wait_healthy "$B2" "backend 2" "$LOG2"
 
 # -audit-every -1: the coordinator's cache auditor re-dispatches
 # sampled hits for real, which would break the zero-dispatch
-# assertions below.
+# assertions below. -max-sweep-cells 4 admits the 4-cell sweeps below
+# and nothing larger.
 "$BIN" -coordinator -backends "http://$B1,http://$B2" -audit-every -1 \
-    -addr "$CO" >"$LOGC" 2>&1 &
+    -max-sweep-cells 4 -addr "$CO" >"$LOGC" 2>&1 &
 CPID=$!
 wait_healthy "$CO" "coordinator" "$LOGC"
 
@@ -67,6 +68,16 @@ curl -sf "http://$CO/healthz" | grep -q '"role": "coordinator"' || {
     exit 1
 }
 echo "cluster-smoke: coordinator + 2 backends healthy"
+
+# The coordinator enforces its own -max-sweep-cells: a 6-cell sync
+# sweep is refused before anything is dispatched.
+CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$CO/v1/sweep" \
+    -d '{"workloads":["loops","micro","callret"],"seeds":[1,2],"instructions":1000}')
+[ "$CODE" = 400 ] || {
+    echo "cluster-smoke: 6-cell sweep over a 4-cell cap answered $CODE, want 400" >&2
+    exit 1
+}
+echo "cluster-smoke: coordinator grid cap enforced (6 cells -> 400)"
 
 # metric prints one metric's value; the name must match exactly up to
 # its label block ("backends" must not also match "backends_version").

@@ -74,7 +74,10 @@ func TestFacadeSMT2(t *testing.T) {
 	a, _ := NewWorkload("loops", 1)
 	b, _ := NewWorkload("micro", 2)
 	s := NewSim(Z15(), []Source{Limit(a, 20_000), Limit(b, 20_000)})
-	res := s.Run(0)
+	res, err := s.RunCtx(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Threads) != 2 {
 		t.Fatalf("threads = %d", len(res.Threads))
 	}
