@@ -90,9 +90,39 @@ func (g Geometry) validate() error {
 	return nil
 }
 
-// Table entry storage is structure-of-arrays (see Table): the logical
-// per-way record is {valid, tag, offset, info, stamp}, split into flat
-// parallel slices indexed row*Ways+way.
+// pageRowBits is log2 of the rows one storage page holds (see Table).
+// A geometry with fewer rows has a single page.
+const pageRowBits = 5
+
+// page holds the entry columns of consecutive rows, structure-of-arrays:
+// the logical per-way record {valid, tag, offset, info, stamp} is split
+// into parallel slices indexed (row within page)*Ways+way.
+type page struct {
+	valid  []bool
+	tag    []uint64
+	offset []uint16 // branch offset within the line, in bytes
+	stamp  []uint64 // LRU timestamp, larger = more recent
+	info   []Info
+}
+
+func newPage(n int) *page {
+	return &page{
+		valid:  make([]bool, n),
+		tag:    make([]uint64, n),
+		offset: make([]uint16, n),
+		stamp:  make([]uint64, n),
+		info:   make([]Info, n),
+	}
+}
+
+// set writes one logical entry across the columns at index i.
+func (p *page) set(i int, tag uint64, off uint16, stamp uint64, info Info) {
+	p.valid[i] = true
+	p.tag[i] = tag
+	p.offset[i] = off
+	p.stamp[i] = stamp
+	p.info[i] = info
+}
 
 // Hit is one matching entry from a line search.
 type Hit struct {
@@ -154,22 +184,25 @@ type Event struct {
 
 // Table is one set-associative BTB level (used for both BTB1 and BTB2).
 //
-// Entry state is held structure-of-arrays: one flat slice per logical
-// field, indexed row*Ways+way. The every-cycle operations (SearchLine,
-// Lookup) only consult valid+tag(+offset) to find matching ways, so
-// the SoA split means a row scan touches a few bytes per way in
-// contiguous memory instead of pulling whole ~72-byte AoS entries
-// (most of which is the Info payload, only needed on a hit) through
-// the cache. The row base index is computed once per touch and every
-// way access is a single-level indexed load off it.
+// Entry state is held structure-of-arrays in pages of 1<<pageRowBits
+// rows. The every-cycle operations (SearchLine, Lookup) only consult
+// valid+tag(+offset) to find matching ways, so the SoA split means a
+// row scan touches a few bytes per way in contiguous memory instead of
+// pulling whole AoS entries (most of which is the Info payload, only
+// needed on a hit) through the cache.
+//
+// A page is allocated by the first Install into one of its rows; until
+// then its rows read from the table's one all-invalid empty page, which
+// every read path scans like any other and none writes. A run's table
+// memory therefore follows the rows it writes, not the geometry: a z15
+// BTB2 has 32K rows, and a short run writes a few hundred.
 type Table struct {
 	geo Geometry
-	// Parallel per-way columns, row-major (index row*Ways+way).
-	valid    []bool
-	tag      []uint64
-	offset   []uint16 // branch offset within the line, in bytes
-	stamp    []uint64 // LRU timestamp, larger = more recent
-	info     []Info
+	// pages[row>>pageRowBits] holds row, at way-0 index
+	// (row&rowMask)*Ways; an unwritten page is empty.
+	pages    []*page
+	empty    *page
+	rowMask  int
 	tick     uint64
 	stats    Stats
 	observer func(Event)
@@ -196,15 +229,17 @@ func New(geo Geometry) *Table {
 	if err := geo.validate(); err != nil {
 		panic(err)
 	}
-	n := geo.Rows() * geo.Ways
-	return &Table{
-		geo:    geo,
-		valid:  make([]bool, n),
-		tag:    make([]uint64, n),
-		offset: make([]uint16, n),
-		stamp:  make([]uint64, n),
-		info:   make([]Info, n),
+	pageRows := min(geo.Rows(), 1<<pageRowBits)
+	t := &Table{
+		geo:     geo,
+		pages:   make([]*page, geo.Rows()/pageRows),
+		empty:   newPage(pageRows * geo.Ways),
+		rowMask: pageRows - 1,
 	}
+	for i := range t.pages {
+		t.pages[i] = t.empty
+	}
+	return t
 }
 
 // Geometry returns the table geometry.
@@ -215,6 +250,11 @@ func (t *Table) Stats() Stats { return t.stats }
 
 func (t *Table) row(addr zarch.Addr) int {
 	return int(uint64(addr) >> t.geo.LineShift & uint64(t.geo.Rows()-1))
+}
+
+// slot returns the page holding row and the index of its way 0 there.
+func (t *Table) slot(row int) (*page, int) {
+	return t.pages[row>>pageRowBits], (row & t.rowMask) * t.geo.Ways
 }
 
 func (t *Table) tagOf(addr zarch.Addr) uint64 {
@@ -233,7 +273,7 @@ func (t *Table) offsetOf(addr zarch.Addr) uint16 {
 func (t *Table) SearchLine(line zarch.Addr) []Hit {
 	t.stats.Searches++
 	line = t.geo.Line(line)
-	base := t.row(line) * t.geo.Ways
+	p, base := t.slot(t.row(line))
 	tag := t.tagOf(line)
 	if t.searchBuf == nil {
 		t.searchBuf = make([]Hit, 0, t.geo.Ways)
@@ -245,17 +285,17 @@ func (t *Table) SearchLine(line zarch.Addr) []Hit {
 	// for hits.
 	for w := 0; w < t.geo.Ways; w++ {
 		i := base + w
-		if !t.valid[i] || t.tag[i] != tag {
+		if !p.valid[i] || p.tag[i] != tag {
 			continue
 		}
-		info := t.info[i]
-		rec := line + zarch.Addr(t.offset[i])
+		info := p.info[i]
+		rec := line + zarch.Addr(p.offset[i])
 		aliased := info.Addr != rec
 		info.Addr = rec
 		if aliased {
 			t.stats.AliasedHits++
 		}
-		t.stamp[i] = t.tick
+		p.stamp[i] = t.tick
 		hits = append(hits, Hit{Info: info, Way: w, Aliased: aliased})
 	}
 	if len(hits) > 0 {
@@ -273,62 +313,71 @@ func (t *Table) SearchLine(line zarch.Addr) []Hit {
 	return hits
 }
 
+// find returns the page and index of the entry matching addr exactly
+// (row, tag and offset), or i < 0 when there is none.
+func (t *Table) find(addr zarch.Addr) (p *page, i int) {
+	p, base := t.slot(t.row(addr))
+	tag := t.tagOf(addr)
+	off := t.offsetOf(addr)
+	for w := 0; w < t.geo.Ways; w++ {
+		i := base + w
+		if p.valid[i] && p.tag[i] == tag && p.offset[i] == off {
+			return p, i
+		}
+	}
+	return p, -1
+}
+
 // Lookup finds the entry matching addr exactly (row, tag and offset),
 // without touching LRU. Used by the write pipeline's read-before-write
 // duplicate check and by completion updates.
 func (t *Table) Lookup(addr zarch.Addr) (Info, bool) {
 	t.stats.Lookups++
-	base := t.row(addr) * t.geo.Ways
-	tag := t.tagOf(addr)
-	off := t.offsetOf(addr)
-	for w := 0; w < t.geo.Ways; w++ {
-		i := base + w
-		if t.valid[i] && t.tag[i] == tag && t.offset[i] == off {
-			t.stats.LookupHits++
-			info := t.info[i]
-			info.Addr = addr
-			return info, true
-		}
+	p, i := t.find(addr)
+	if i < 0 {
+		return Info{}, false
 	}
-	return Info{}, false
+	t.stats.LookupHits++
+	info := p.info[i]
+	info.Addr = addr
+	return info, true
 }
 
 // Update applies fn to the entry matching addr, if present. Returns
 // whether an entry was found. Does not touch LRU (completion updates
 // should not refresh recency in this model).
 func (t *Table) Update(addr zarch.Addr, fn func(*Info)) bool {
-	base := t.row(addr) * t.geo.Ways
-	tag := t.tagOf(addr)
-	off := t.offsetOf(addr)
-	for w := 0; w < t.geo.Ways; w++ {
-		i := base + w
-		if t.valid[i] && t.tag[i] == tag && t.offset[i] == off {
-			fn(&t.info[i])
-			t.emit(EvUpdate, t.row(addr), w, t.info[i])
-			return true
-		}
+	p, i := t.find(addr)
+	if i < 0 {
+		return false
 	}
-	return false
+	fn(&p.info[i])
+	t.emit(EvUpdate, t.row(addr), i%t.geo.Ways, p.info[i])
+	return true
 }
 
 // Install writes info into the table. If an entry for the same address
 // already exists its payload is replaced (counted as an update, the
 // dedup path of §IV). Otherwise an invalid way or the LRU way is used;
 // the victim, if any, is returned so a BTBP configuration can capture
-// it.
+// it. The first Install into an empty page allocates it.
 func (t *Table) Install(info Info) (victim Info, evicted bool) {
 	t.stats.Installs++
 	rowIdx := t.row(info.Addr)
-	base := rowIdx * t.geo.Ways
+	p, base := t.slot(rowIdx)
+	if p == t.empty {
+		p = newPage(len(p.valid))
+		t.pages[rowIdx>>pageRowBits] = p
+	}
 	tag := t.tagOf(info.Addr)
 	off := t.offsetOf(info.Addr)
 	t.tick++
 	// Duplicate check (read before write).
 	for w := 0; w < t.geo.Ways; w++ {
 		i := base + w
-		if t.valid[i] && t.tag[i] == tag && t.offset[i] == off {
-			t.info[i] = info
-			t.stamp[i] = t.tick
+		if p.valid[i] && p.tag[i] == tag && p.offset[i] == off {
+			p.info[i] = info
+			p.stamp[i] = t.tick
 			t.stats.Updates++
 			t.emit(EvUpdate, rowIdx, w, info)
 			return Info{}, false
@@ -337,8 +386,8 @@ func (t *Table) Install(info Info) (victim Info, evicted bool) {
 	// Free way?
 	for w := 0; w < t.geo.Ways; w++ {
 		i := base + w
-		if !t.valid[i] {
-			t.set(i, tag, off, info)
+		if !p.valid[i] {
+			p.set(i, tag, off, t.tick, info)
 			t.emit(EvInstall, rowIdx, w, info)
 			return Info{}, false
 		}
@@ -346,64 +395,46 @@ func (t *Table) Install(info Info) (victim Info, evicted bool) {
 	// Evict LRU.
 	lru := 0
 	for w := 1; w < t.geo.Ways; w++ {
-		if t.stamp[base+w] < t.stamp[base+lru] {
+		if p.stamp[base+w] < p.stamp[base+lru] {
 			lru = w
 		}
 	}
-	victim = t.info[base+lru]
+	victim = p.info[base+lru]
 	t.emit(EvEvict, rowIdx, lru, victim)
-	t.set(base+lru, tag, off, info)
+	p.set(base+lru, tag, off, t.tick, info)
 	t.stats.Evictions++
 	t.emit(EvInstall, rowIdx, lru, info)
 	return victim, true
 }
 
-// set writes one logical entry across the columns at flat index i.
-func (t *Table) set(i int, tag uint64, off uint16, info Info) {
-	t.valid[i] = true
-	t.tag[i] = tag
-	t.offset[i] = off
-	t.stamp[i] = t.tick
-	t.info[i] = info
-}
-
 // Invalidate removes the entry matching addr, reporting whether one
 // existed. Used when the IDU detects a bad branch prediction (§IV).
 func (t *Table) Invalidate(addr zarch.Addr) bool {
-	base := t.row(addr) * t.geo.Ways
-	tag := t.tagOf(addr)
-	off := t.offsetOf(addr)
-	for w := 0; w < t.geo.Ways; w++ {
-		i := base + w
-		if t.valid[i] && t.tag[i] == tag && t.offset[i] == off {
-			t.valid[i] = false
-			t.stats.Invalidates++
-			t.emit(EvInvalidate, t.row(addr), w, t.info[i])
-			return true
-		}
+	p, i := t.find(addr)
+	if i < 0 {
+		return false
 	}
-	return false
+	p.valid[i] = false
+	t.stats.Invalidates++
+	t.emit(EvInvalidate, t.row(addr), i%t.geo.Ways, p.info[i])
+	return true
 }
 
 // LRUVictim returns the next-to-be-evicted entry of line's row, if the
 // row is full. The periodic refresh mechanism writes this entry back to
 // the BTB2 (§III).
 func (t *Table) LRUVictim(line zarch.Addr) (Info, bool) {
-	base := t.row(line) * t.geo.Ways
-	lru, found := 0, true
-	for w := 0; w < t.geo.Ways; w++ {
-		if !t.valid[base+w] {
-			found = false
-			break
+	p, base := t.slot(t.row(line))
+	lru := base
+	for i := base; i < base+t.geo.Ways; i++ {
+		if !p.valid[i] {
+			return Info{}, false
 		}
-		if t.stamp[base+w] < t.stamp[base+lru] {
-			lru = w
+		if p.stamp[i] < p.stamp[lru] {
+			lru = i
 		}
 	}
-	if !found {
-		return Info{}, false
-	}
-	return t.info[base+lru], true
+	return p.info[lru], true
 }
 
 // SearchRegion scans consecutive lines starting at from, collecting up
@@ -416,15 +447,15 @@ func (t *Table) SearchRegion(from zarch.Addr, lines, maxBranches int) []Info {
 	out := t.regionBuf[:0]
 	line := t.geo.Line(from)
 	for l := 0; l < lines && len(out) < maxBranches; l++ {
-		base := t.row(line) * t.geo.Ways
+		p, base := t.slot(t.row(line))
 		tag := t.tagOf(line)
 		for w := 0; w < t.geo.Ways; w++ {
 			i := base + w
-			if !t.valid[i] || t.tag[i] != tag {
+			if !p.valid[i] || p.tag[i] != tag {
 				continue
 			}
-			info := t.info[i]
-			info.Addr = line + zarch.Addr(t.offset[i])
+			info := p.info[i]
+			info.Addr = line + zarch.Addr(p.offset[i])
 			out = append(out, info)
 			if len(out) >= maxBranches {
 				break
@@ -448,21 +479,15 @@ func (t *Table) SearchRegion(from zarch.Addr, lines, maxBranches int) []Info {
 // verification harness).
 func (t *Table) Occupancy() int {
 	n := 0
-	for _, v := range t.valid {
-		if v {
-			n++
+	for _, p := range t.pages {
+		if p == t.empty {
+			continue
+		}
+		for _, v := range p.valid {
+			if v {
+				n++
+			}
 		}
 	}
 	return n
-}
-
-// Reset invalidates every entry and clears statistics.
-func (t *Table) Reset() {
-	clear(t.valid)
-	clear(t.tag)
-	clear(t.offset)
-	clear(t.stamp)
-	clear(t.info)
-	t.tick = 0
-	t.stats = Stats{}
 }

@@ -1,6 +1,7 @@
 package btb
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -196,17 +197,13 @@ func TestSearchRegion(t *testing.T) {
 	}
 }
 
-func TestResetAndOccupancy(t *testing.T) {
+func TestOccupancy(t *testing.T) {
 	tb := New(testGeo)
 	for i := 0; i < 100; i++ {
 		tb.Install(info(zarch.Addr(0x10000 + i*0x40)))
 	}
 	if tb.Occupancy() != 100 {
 		t.Errorf("occupancy = %d", tb.Occupancy())
-	}
-	tb.Reset()
-	if tb.Occupancy() != 0 || tb.Stats().Installs != 0 {
-		t.Error("Reset incomplete")
 	}
 }
 
@@ -243,6 +240,17 @@ func TestPreloadBasics(t *testing.T) {
 	}
 	if p.Occupancy() != 1 {
 		t.Errorf("occupancy = %d", p.Occupancy())
+	}
+	// A promoted or invalidated slot keeps its packed address; searches
+	// must still skip it.
+	if hits := p.SearchLine(0x10000, 64); len(hits) != 1 || hits[0].Addr != 0x10030 {
+		t.Fatalf("BTBP search after Promote: %+v", hits)
+	}
+	if !p.Invalidate(0x10030) || p.Invalidate(0x10030) {
+		t.Error("Invalidate did not remove exactly once")
+	}
+	if hits := p.SearchLine(0x10000, 64); len(hits) != 0 {
+		t.Errorf("BTBP search after Invalidate: %+v", hits)
 	}
 }
 
@@ -292,5 +300,142 @@ func TestStageFIFO(t *testing.T) {
 	s.Pop()
 	if _, ok := s.Pop(); ok {
 		t.Error("Pop on empty stage")
+	}
+}
+
+// z15BTB2 is the z15 BTB2 geometry: 32K rows, 1K storage pages.
+var z15BTB2 = Geometry{RowBits: 15, Ways: 4, TagBits: 13, LineShift: 6}
+
+// TestUnwrittenRowsReadEmpty checks that every read path over rows no
+// Install touched finds nothing, writes nothing and allocates nothing:
+// a short run that searches the whole BTB2 must not pay for it.
+func TestUnwrittenRowsReadEmpty(t *testing.T) {
+	tb := New(z15BTB2)
+	line := zarch.Addr(z15BTB2.LineBytes())
+	pass := func() {
+		for r := 0; r < z15BTB2.Rows(); r++ {
+			a := zarch.Addr(0x7000_0000) + zarch.Addr(r)*line
+			if hits := tb.SearchLine(a); len(hits) != 0 {
+				t.Fatalf("SearchLine(%s) = %d hits", a, len(hits))
+			}
+			if _, ok := tb.Lookup(a + 8); ok {
+				t.Fatalf("Lookup(%s) hit", a+8)
+			}
+			if tb.Update(a+8, func(*Info) { t.Fatal("Update called fn") }) {
+				t.Fatalf("Update(%s) found an entry", a+8)
+			}
+			if tb.Invalidate(a + 8) {
+				t.Fatalf("Invalidate(%s) found an entry", a+8)
+			}
+			if _, ok := tb.LRUVictim(a); ok {
+				t.Fatalf("LRUVictim(%s) named a victim", a)
+			}
+			if got := tb.SearchRegion(a, 4, 128); len(got) != 0 {
+				t.Fatalf("SearchRegion(%s) = %d branches", a, len(got))
+			}
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(3, pass); allocs != 0 {
+		t.Errorf("read-only pass allocated %.0f times", allocs)
+	}
+	if n := tb.Occupancy(); n != 0 {
+		t.Errorf("Occupancy = %d after reads only", n)
+	}
+	for i, p := range tb.pages {
+		if p != tb.empty {
+			t.Fatalf("page %d allocated by reads", i)
+		}
+	}
+	if s := tb.Stats(); s.SearchHits != 0 || s.LookupHits != 0 || s.Invalidates != 0 {
+		t.Errorf("reads of empty rows counted hits: %+v", s)
+	}
+}
+
+// TestPagesIsolated installs into rows of the first, a middle and the
+// last page and checks that each lands in its own page, is found only
+// there, and leaves the shared empty page all-invalid.
+func TestPagesIsolated(t *testing.T) {
+	tb := New(z15BTB2)
+	stride := zarch.Addr(z15BTB2.Rows() * z15BTB2.LineBytes())
+	var want []zarch.Addr
+	for _, row := range []int{0, z15BTB2.Rows() / 2, z15BTB2.Rows() - 1} {
+		a := 3*stride + zarch.Addr(row*z15BTB2.LineBytes()) + 12
+		tb.Install(info(a))
+		want = append(want, a)
+	}
+	if n := tb.Occupancy(); n != len(want) {
+		t.Errorf("Occupancy = %d, want %d", n, len(want))
+	}
+	pages := 0
+	for _, p := range tb.pages {
+		if p != tb.empty {
+			pages++
+		}
+	}
+	if pages != len(want) {
+		t.Errorf("%d pages allocated, want %d", pages, len(want))
+	}
+	for _, v := range tb.empty.valid {
+		if v {
+			t.Fatal("Install wrote the shared empty page")
+		}
+	}
+	for _, a := range want {
+		line := z15BTB2.Line(a)
+		hits := tb.SearchLine(line)
+		if len(hits) != 1 || hits[0].Addr != a {
+			t.Errorf("SearchLine(%s) = %+v, want %s", line, hits, a)
+		}
+		if _, ok := tb.Lookup(a); !ok {
+			t.Errorf("Lookup(%s) missed", a)
+		}
+		// Same row, other tag; same page, next row.
+		if hits := tb.SearchLine(line + stride); len(hits) != 0 {
+			t.Errorf("SearchLine(%s) found another tag's branch", line+stride)
+		}
+		if _, ok := tb.Lookup(a ^ zarch.Addr(z15BTB2.LineBytes())); ok {
+			t.Errorf("Lookup of the neighbouring row of %s hit", a)
+		}
+	}
+}
+
+// TestSearchRegionAcrossPages checks that a region scan crossing a
+// page boundary, and one wrapping from the last row to row 0, returns
+// the installed branches in address order.
+func TestSearchRegionAcrossPages(t *testing.T) {
+	lb := zarch.Addr(z15BTB2.LineBytes())
+	stride := zarch.Addr(z15BTB2.Rows()) * lb
+	cases := []struct {
+		name string
+		from zarch.Addr // first searched line
+	}{
+		{"page-boundary", 5*stride + (1<<pageRowBits-2)*lb},
+		{"wrap", 6*stride - 2*lb},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tb := New(z15BTB2)
+			var want []zarch.Addr
+			// Four consecutive lines, installed last line first and
+			// two branches per line with the later one first.
+			for l := 3; l >= 0; l-- {
+				for _, off := range []zarch.Addr{40, 6} {
+					a := c.from + zarch.Addr(l)*lb + off
+					tb.Install(info(a))
+					want = append(want, a)
+				}
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			got := tb.SearchRegion(c.from, 4, 128)
+			if len(got) != len(want) {
+				t.Fatalf("SearchRegion found %d branches, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Addr != want[i] {
+					t.Errorf("branch %d = %s, want %s", i, got[i].Addr, want[i])
+				}
+			}
+		})
 	}
 }

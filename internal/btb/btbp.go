@@ -13,8 +13,13 @@ import "zbp/internal/zarch"
 // The BTBP is modeled as a small fully-associative LRU buffer.
 type Preload struct {
 	entries []pentry
-	tick    uint64
-	stats   PreloadStats
+	// addrs[i] is the address last installed in entries[i], packed so
+	// that the every-cycle SearchLine scans 8 bytes per slot and reads
+	// an entry only for a candidate address. Promote and Invalidate
+	// leave it behind, so readers also check the entry's valid bit.
+	addrs []zarch.Addr
+	tick  uint64
+	stats PreloadStats
 	// searchBuf is the reusable SearchLine result buffer (searched
 	// every cycle on pre-z15 configurations).
 	searchBuf []Info
@@ -38,7 +43,7 @@ func NewPreload(capacity int) *Preload {
 	if capacity <= 0 {
 		panic("btb: BTBP capacity must be positive")
 	}
-	return &Preload{entries: make([]pentry, capacity)}
+	return &Preload{entries: make([]pentry, capacity), addrs: make([]zarch.Addr, capacity)}
 }
 
 // Stats returns a copy of the counters.
@@ -60,6 +65,7 @@ func (p *Preload) Install(info Info) (victim Info, evicted bool) {
 		}
 		if !e.valid {
 			*e = pentry{valid: true, info: info, stamp: p.tick}
+			p.addrs[i] = info.Addr
 			return Info{}, false
 		}
 		if e.stamp < p.entries[lru].stamp {
@@ -68,6 +74,7 @@ func (p *Preload) Install(info Info) (victim Info, evicted bool) {
 	}
 	victim = p.entries[lru].info
 	p.entries[lru] = pentry{valid: true, info: info, stamp: p.tick}
+	p.addrs[lru] = info.Addr
 	return victim, true
 }
 
@@ -78,10 +85,9 @@ func (p *Preload) Install(info Info) (victim Info, evicted bool) {
 func (p *Preload) SearchLine(line zarch.Addr, lineBytes int) []Info {
 	base := line &^ zarch.Addr(lineBytes-1)
 	out := p.searchBuf[:0]
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.valid && e.info.Addr >= base && e.info.Addr < base+zarch.Addr(lineBytes) {
-			out = append(out, e.info)
+	for i, a := range p.addrs {
+		if a >= base && a < base+zarch.Addr(lineBytes) && p.entries[i].valid {
+			out = append(out, p.entries[i].info)
 		}
 	}
 	if len(out) > 1 {
@@ -98,31 +104,36 @@ func (p *Preload) SearchLine(line zarch.Addr, lineBytes int) []Info {
 	return out
 }
 
+// find returns the index of the first valid entry for addr, or -1.
+func (p *Preload) find(addr zarch.Addr) int {
+	for i, a := range p.addrs {
+		if a == addr && p.entries[i].valid {
+			return i
+		}
+	}
+	return -1
+}
+
 // Promote removes and returns the entry for addr, if present: a
 // qualified BTBP hit moves the branch into the BTB1.
 func (p *Preload) Promote(addr zarch.Addr) (Info, bool) {
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.valid && e.info.Addr == addr {
-			e.valid = false
-			p.stats.Promotes++
-			return e.info, true
-		}
+	i := p.find(addr)
+	if i < 0 {
+		return Info{}, false
 	}
-	return Info{}, false
+	p.entries[i].valid = false
+	p.stats.Promotes++
+	return p.entries[i].info, true
 }
 
 // Invalidate removes the entry for addr, if present, without counting
 // a promote: the IDU found the branch to be bogus (§IV bad prediction).
 func (p *Preload) Invalidate(addr zarch.Addr) bool {
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.valid && e.info.Addr == addr {
-			e.valid = false
-			return true
-		}
+	i := p.find(addr)
+	if i >= 0 {
+		p.entries[i].valid = false
 	}
-	return false
+	return i >= 0
 }
 
 // Occupancy returns the number of valid entries.

@@ -1,6 +1,7 @@
 package btb
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,19 +15,30 @@ import (
 // least-recently-touched residents (search hits and installs touch;
 // Lookup and Update do not). Ties are legal — one SearchLine touches
 // every hit in the same cycle — so the assertion is on the victim's
-// touch stamp, not its identity.
+// touch stamp, not its identity. The table spans several storage
+// pages, and the model runs on a row of the first, a middle and the
+// last page.
 func TestLRUVictimProperty(t *testing.T) {
-	geo := Geometry{RowBits: 1, Ways: 4, TagBits: 20, LineShift: 6}
+	geo := Geometry{RowBits: 7, Ways: 4, TagBits: 20, LineShift: 6}
+	for _, row := range []int{0, 1<<pageRowBits + 5, geo.Rows() - 1} {
+		t.Run(fmt.Sprintf("row=%d", row), func(t *testing.T) {
+			checkLRUVictimRow(t, geo, row)
+		})
+	}
+}
+
+func checkLRUVictimRow(t *testing.T, geo Geometry, row int) {
 	tbl := New(geo)
 
-	// Candidate branches all land in row 0 (bit 6 clear) across five
-	// distinct lines with two offsets each, so the row sees capacity
-	// pressure, duplicate installs, and multi-hit line searches.
-	const base = zarch.Addr(0x4_0000)
+	// Candidate branches all land in row across five distinct lines
+	// with two offsets each, so the row sees capacity pressure,
+	// duplicate installs, and multi-hit line searches.
+	stride := zarch.Addr(geo.Rows() * geo.LineBytes())
+	base := 8*stride + zarch.Addr(row*geo.LineBytes())
 	var addrs []zarch.Addr
 	var lines []zarch.Addr
 	for i := 0; i < 5; i++ {
-		line := base + zarch.Addr(i)*2*zarch.Addr(geo.LineBytes())
+		line := base + zarch.Addr(i)*stride
 		lines = append(lines, line)
 		addrs = append(addrs, line+6, line+40)
 	}

@@ -100,8 +100,9 @@ type level struct {
 	rows     int
 	ways     int
 	lineBits uint
-	tags     [][]uint64 // tag 0 = invalid (tags stored +1)
-	stamps   [][]int64
+	// tags/stamps are row-major columns indexed row*ways+way.
+	tags   []uint64 // tag 0 = invalid (tags stored +1)
+	stamps []int64
 }
 
 func newLevel(bytes, ways, lineBytes int) *level {
@@ -113,27 +114,22 @@ func newLevel(bytes, ways, lineBytes int) *level {
 	for 1<<lb < lineBytes {
 		lb++
 	}
-	l := &level{rows: rows, ways: ways, lineBits: lb}
-	l.tags = make([][]uint64, rows)
-	l.stamps = make([][]int64, rows)
-	for i := range l.tags {
-		l.tags[i] = make([]uint64, ways)
-		l.stamps[i] = make([]int64, ways)
-	}
-	return l
+	return &level{rows: rows, ways: ways, lineBits: lb,
+		tags: make([]uint64, rows*ways), stamps: make([]int64, rows*ways)}
 }
 
+// rowTag returns the index of line's way 0 in the columns and its tag.
 func (l *level) rowTag(line zarch.Addr) (int, uint64) {
 	n := uint64(line) >> l.lineBits
 	// Full-precision tags (+1 so 0 means invalid): caches do not alias.
-	return int(n & uint64(l.rows-1)), n + 1
+	return int(n&uint64(l.rows-1)) * l.ways, n + 1
 }
 
 func (l *level) lookup(line zarch.Addr, now int64) bool {
-	row, tag := l.rowTag(line)
-	for w := 0; w < l.ways; w++ {
-		if l.tags[row][w] == tag {
-			l.stamps[row][w] = now
+	base, tag := l.rowTag(line)
+	for i := base; i < base+l.ways; i++ {
+		if l.tags[i] == tag {
+			l.stamps[i] = now
 			return true
 		}
 	}
@@ -141,24 +137,24 @@ func (l *level) lookup(line zarch.Addr, now int64) bool {
 }
 
 func (l *level) fill(line zarch.Addr, now int64) {
-	row, tag := l.rowTag(line)
-	lru := 0
-	for w := 0; w < l.ways; w++ {
-		if l.tags[row][w] == tag {
-			l.stamps[row][w] = now
+	base, tag := l.rowTag(line)
+	lru := base
+	for i := base; i < base+l.ways; i++ {
+		if l.tags[i] == tag {
+			l.stamps[i] = now
 			return
 		}
-		if l.tags[row][w] == 0 {
-			l.tags[row][w] = tag
-			l.stamps[row][w] = now
+		if l.tags[i] == 0 {
+			l.tags[i] = tag
+			l.stamps[i] = now
 			return
 		}
-		if l.stamps[row][w] < l.stamps[row][lru] {
-			lru = w
+		if l.stamps[i] < l.stamps[lru] {
+			lru = i
 		}
 	}
-	l.tags[row][lru] = tag
-	l.stamps[row][lru] = now
+	l.tags[lru] = tag
+	l.stamps[lru] = now
 }
 
 // Hierarchy is the modeled I-side cache stack.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"zbp/internal/core"
@@ -199,4 +200,28 @@ func TestNewPanicsOnBadThreadCount(t *testing.T) {
 		}
 	}()
 	New(Z15(), nil)
+}
+
+// TestNewAllocatesLittle pins that building a simulator does not
+// allocate the predictor tables up front: BTB storage is allocated a
+// page at a time by the first install into it, so a preset's sim.New
+// stays well under a mebibyte even though a z15 BTB1 and BTB2 fully
+// populated would take ~8 MB. The TotalAlloc delta counts bytes, so
+// the check does not depend on timing.
+func TestNewAllocatesLittle(t *testing.T) {
+	const limit = 1 << 20
+	for _, gen := range core.Generations() {
+		cfg := ForGeneration(gen)
+		srcs := []trace.Source{trace.NewSliceSource(nil)}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := New(cfg, srcs)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("%s: sim.New allocated %d KiB, want under %d KiB", gen.Name, got>>10, limit>>10)
+		} else {
+			t.Logf("%s: sim.New allocated %d KiB", gen.Name, got>>10)
+		}
+	}
 }

@@ -20,7 +20,13 @@
 #   unresolved  not worse, but the parent's spread exceeds the bound
 #   ok          otherwise
 #
-# and, per side, failed/attempted operations summed over the runs.
+# Two more columns apply the rule for claiming a gain: `wins` counts
+# the pairs (same seed) in which the change read strictly better, out
+# of the pairs run, and `gain` is yes when the change won at least nine
+# tenths of them and its median is better than the parent's by more
+# than the parent's quartile spread. They do not affect the exit
+# status. Per side, the report also prints failed/attempted operations
+# summed over the runs.
 # Quartiles are statistics.quantiles(n=4), as in perfbench/spread.py.
 # The exit status is nonzero on any run error (a run that exits
 # nonzero or prints no result line) or any `worse` verdict. The
@@ -108,9 +114,10 @@ results, rev, workloads = sys.argv[1], sys.argv[2], sys.argv[3:]
 bench = json.load(open("BENCHMARK.json"))
 metrics = bench["end_to_end"]
 
-runs, errors = {}, 0
+runs, pairs, errors = {}, {}, 0
 for line in open(results):
     side, w, seed, code, rest = (line.rstrip("\n").split(" ", 4) + [""])[:5]
+    pairs.setdefault(w, set()).add(seed)
     try:
         res = json.loads(rest)
     except ValueError:
@@ -119,19 +126,20 @@ for line in open(results):
         errors += 1
         print(f"run error: {w} seed {seed} {side} exited {code}")
     if res is not None:
-        runs.setdefault((w, side), []).append(res)
+        runs.setdefault((w, side), {})[seed] = res
 
 worse = 0
 for w in workloads:
     print(f"\n{w}: parent {rev}, change = working tree")
     for side in ("parent", "change"):
-        rs = runs.get((w, side), [])
+        rs = list(runs.get((w, side), {}).values())
         print(f"  {side} failed/attempted: {sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)} over {len(rs)} runs")
-    print(f"  {'metric':18s} {'parent':>12s} {'change':>12s} {'delta':>8s} {'spread':>7s} {'bound':>6s}  verdict")
+    print(f"  {'metric':18s} {'parent':>12s} {'change':>12s} {'delta':>8s} {'spread':>7s} {'bound':>6s}  {'verdict':10s} {'wins':>5s}  gain")
     for m in metrics:
         name, bound = m["name"], m["bound"]
-        p = [r["metrics"][name]["value"] for r in runs.get((w, "parent"), [])]
-        c = [r["metrics"][name]["value"] for r in runs.get((w, "change"), [])]
+        pr, cr = runs.get((w, "parent"), {}), runs.get((w, "change"), {})
+        p = [r["metrics"][name]["value"] for r in pr.values()]
+        c = [r["metrics"][name]["value"] for r in cr.values()]
         if len(p) < 2 or not c:
             print(f"  {name:18s} too few runs")
             continue
@@ -153,7 +161,12 @@ for w in workloads:
             verdict = "unresolved"
         else:
             verdict = "ok"
-        print(f"  {name:18s} {pm:12.5g} {cm:12.5g} {delta:+8.3f} {spread:7.3f} {bound:6.2f}  {verdict}")
+        sign = -1 if m["better"] == "lower" else 1
+        wins = sum(1 for s in pr.keys() & cr.keys()
+                   if sign * (cr[s]["metrics"][name]["value"] - pr[s]["metrics"][name]["value"]) > 0)
+        n = len(pairs[w])
+        gain = "yes" if 10 * wins >= 9 * n and delta > spread else "no"
+        print(f"  {name:18s} {pm:12.5g} {cm:12.5g} {delta:+8.3f} {spread:7.3f} {bound:6.2f}  {verdict:10s} {f'{wins}/{n}':>5s}  {gain}")
 
 print(f"\nrun errors: {errors}, worse verdicts: {worse}")
 sys.exit(1 if errors or worse else 0)
