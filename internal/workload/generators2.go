@@ -48,11 +48,11 @@ func Interpreter(seed uint64) trace.Source {
 	pcSlot := b.newSlot()
 	sw.setBranch(zarch.KindUncondInd, 2,
 		func(*Exec) bool { return true },
-		func(e *Exec, addrs []zarch.Addr) zarch.Addr {
+		func(e *Exec, _ int) int {
 			pc := &e.slot[pcSlot]
 			op := prog[*pc]
 			*pc = (*pc + 1) % int64(len(prog))
-			return addrs[op]
+			return op
 		}, targets...)
 
 	// Handlers: short bodies with one or two predictable branches, then

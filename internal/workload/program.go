@@ -22,41 +22,47 @@ import (
 // dirFn decides the direction of a conditional branch at execution time.
 type dirFn func(e *Exec) bool
 
-// chooseFn selects the taken-target among the block's resolved targets.
-type chooseFn func(e *Exec, targets []zarch.Addr) zarch.Addr
+// chooseFn selects the taken-target of a block with n targets,
+// returning its position in the block's target list.
+type chooseFn func(e *Exec, n int) int
 
-// Target is anything that resolves to a block entry address at Build
-// time: a BlockRef (already-created block) or a *Label (forward
-// reference bound later).
+// Target is anything that resolves to a block at Build time: a
+// BlockRef (already-created block) or a *Label (forward reference
+// bound later).
 type Target interface {
-	resolve() (zarch.Addr, error)
+	resolve() (int, error)
 }
 
 // node is one laid-out basic block: zero or more pad instructions
-// followed by at most one branch.
+// followed by at most one branch. Its pad lengths and branch targets
+// live in the program's shared columns, at pad0 and tgt0. A node
+// executed when not taken, or after a fallthrough, is always the next
+// one, and the branch is the last brLen bytes before end.
 type node struct {
-	addr    zarch.Addr
-	padLens []uint8
-	end     zarch.Addr // address one past the last byte of the block
+	addr zarch.Addr
+	end  zarch.Addr // address one past the last byte of the block
+
+	pad0, nPad int32 // pad lengths at pads[pad0:pad0+nPad]
+	tgt0, nTgt int32 // targets at tgts/tgtIdx[tgt0:tgt0+nTgt]
 
 	hasBranch bool
-	brAddr    zarch.Addr
 	brLen     uint8
 	brKind    zarch.BranchKind
+	isCall    bool // push the NSIA's node on the interpreter stack when taken
+	isReturn  bool // target comes from the interpreter stack
 	dir       dirFn
 	choose    chooseFn
-	tgtRefs   []Target
-	tgtAddrs  []zarch.Addr // resolved at Build
-	isCall    bool         // push NSIA on the interpreter stack when taken
-	isReturn  bool         // target comes from the interpreter stack
-
-	fall int // node index executed when not taken / after fallthrough
 }
 
-// Program is an executable synthetic program.
+// Program is an executable synthetic program laid out in columns:
+// one node per block, every block's pad lengths in pads, and every
+// branch target as both its address (tgts, what a record carries) and
+// its node index (tgtIdx, where the interpreter goes).
 type Program struct {
 	nodes  []node
-	byAddr map[zarch.Addr]int
+	pads   []uint8
+	tgts   []zarch.Addr
+	tgtIdx []int32
 	entry  int
 	// slots is the number of behavioral-state slots the program's
 	// branch closures use; each Exec carries its own slot array, so
@@ -79,15 +85,22 @@ func (p *Program) Footprint() int {
 // wires branch behaviour between them. A block's branch must be wired
 // while the block is still the most recently created one (the branch
 // occupies layout space); branch *targets* may be forward references
-// via labels, resolved at Build.
+// via labels, resolved at Build. Pad lengths and target references
+// are appended to one column each, and labels are handed out from a
+// slab, so construction allocates per column, not per block.
 type Builder struct {
 	nodes  []node
+	pads   []uint8
+	refs   []Target
+	labels []Label // current slab; replaced, never grown, when full
 	cursor zarch.Addr
 	rng    *hashx.Rand
 	err    error
-	labels []*Label
 	slots  int
 }
+
+// labelSlab is how many labels one slab holds.
+const labelSlab = 256
 
 // newSlot allocates one behavioral-state slot. Branch closures must
 // keep their mutable state in Exec.slot[s] rather than captured
@@ -107,20 +120,19 @@ type BlockRef struct {
 // Addr returns the entry address of the block.
 func (r BlockRef) Addr() zarch.Addr { return r.b.nodes[r.idx].addr }
 
-func (r BlockRef) resolve() (zarch.Addr, error) { return r.Addr(), nil }
+func (r BlockRef) resolve() (int, error) { return r.idx, nil }
 
 // Label is a forward-declared branch target, bound to a block with
 // Builder.Bind before Build.
 type Label struct {
-	b     *Builder
 	bound int // node index, -1 until bound
 }
 
-func (l *Label) resolve() (zarch.Addr, error) {
+func (l *Label) resolve() (int, error) {
 	if l.bound < 0 {
 		return 0, fmt.Errorf("workload: unbound label")
 	}
-	return l.b.nodes[l.bound].addr, nil
+	return l.bound, nil
 }
 
 // NewBuilder returns a Builder placing code from base, with rng used
@@ -132,11 +144,14 @@ func NewBuilder(base zarch.Addr, seed uint64) *Builder {
 	return &Builder{cursor: base, rng: hashx.New(seed)}
 }
 
-// NewLabel declares a forward branch target.
+// NewLabel declares a forward branch target. A full slab is replaced
+// rather than grown, so the labels already handed out stay valid.
 func (b *Builder) NewLabel() *Label {
-	l := &Label{b: b, bound: -1}
-	b.labels = append(b.labels, l)
-	return l
+	if len(b.labels) == cap(b.labels) {
+		b.labels = make([]Label, 0, labelSlab)
+	}
+	b.labels = append(b.labels, Label{bound: -1})
+	return &b.labels[len(b.labels)-1]
 }
 
 // Bind attaches label to blk.
@@ -172,7 +187,7 @@ func (b *Builder) fail(err error) {
 // bytes as on real z code). The block initially has no branch; wire one
 // with the BlockRef terminator methods or leave it as a fallthrough.
 func (b *Builder) Block(padBytes int) BlockRef {
-	n := node{addr: b.cursor}
+	n := node{addr: b.cursor, end: b.cursor, pad0: int32(len(b.pads))}
 	remaining := padBytes
 	for remaining >= 2 {
 		var ln uint8
@@ -187,14 +202,11 @@ func (b *Builder) Block(padBytes int) BlockRef {
 				ln = uint8(remaining &^ 1)
 			}
 		}
-		n.padLens = append(n.padLens, ln)
+		b.pads = append(b.pads, ln)
+		n.end += zarch.Addr(ln)
 		remaining -= int(ln)
 	}
-	var size zarch.Addr
-	for _, l := range n.padLens {
-		size += zarch.Addr(l)
-	}
-	n.end = n.addr + size
+	n.nPad = int32(len(b.pads)) - n.pad0
 	b.cursor = n.end
 	b.nodes = append(b.nodes, n)
 	return BlockRef{b: b, idx: len(b.nodes) - 1}
@@ -214,17 +226,18 @@ func (r BlockRef) setBranch(kind zarch.BranchKind, ln uint8, dir dirFn, choose c
 		return
 	}
 	n.hasBranch = true
-	n.brAddr = n.end
 	n.brLen = ln
 	n.brKind = kind
 	n.dir = dir
 	n.choose = choose
-	n.tgtRefs = tgts
+	n.tgt0 = int32(len(b.refs))
+	n.nTgt = int32(len(tgts))
+	b.refs = append(b.refs, tgts...)
 	n.end += zarch.Addr(ln)
 	b.cursor = n.end
 }
 
-func chooseFirst(_ *Exec, targets []zarch.Addr) zarch.Addr { return targets[0] }
+func chooseFirst(*Exec, int) int { return 0 }
 
 // Jump ends the block with an unconditional relative branch to target.
 func (r BlockRef) Jump(target Target) {
@@ -361,23 +374,24 @@ func (r BlockRef) Switch(targets []Target, chooser TargetChooser) {
 	slot := r.b.newSlot()
 	r.setBranch(zarch.KindUncondInd, 2,
 		func(*Exec) bool { return true },
-		func(e *Exec, addrs []zarch.Addr) zarch.Addr {
+		func(e *Exec, n int) int {
 			switch chooser {
 			case ChooseRandom:
-				return addrs[e.rng.Intn(len(addrs))]
+				return e.rng.Intn(n)
 			case ChoosePath:
-				// Correlate with the targets 4 and 11 taken-branches
-				// back: within a 17-deep path history (z14/z15 GPV) but
-				// beyond a 9-deep one (z13 and the pre-z15 CTB index) --
-				// the correlation depth that motivated the z15 CTB's
-				// move to the 17-branch GPV index (paper §VI).
+				// Correlate with the targets 4 and 3 taken branches
+				// back (lag 11 wraps around recentTgt's 8-entry ring):
+				// both inside a 9-deep path history (z13 and the
+				// pre-z15 CTB index), not beyond it in the 17-deep
+				// regime that motivated the z15 CTB's GPV index
+				// (paper §VI).
 				k := uint64(e.recentTgt(4))>>4 ^ uint64(e.recentTgt(11))>>6
-				return addrs[int(k%uint64(len(addrs)))]
+				return int(k % uint64(n))
 			default:
 				i := &e.slot[slot]
-				a := addrs[int(*i)%len(addrs)]
+				k := int(*i) % n
 				*i++
-				return a
+				return k
 			}
 		}, targets...)
 }
@@ -402,7 +416,7 @@ func (r BlockRef) SwitchWeighted(targets []Target, weights []int) {
 	}
 	r.setBranch(zarch.KindUncondInd, 2,
 		func(*Exec) bool { return true },
-		func(e *Exec, addrs []zarch.Addr) zarch.Addr {
+		func(e *Exec, _ int) int {
 			v := e.rng.Intn(total)
 			lo, hi := 0, len(cum)-1
 			for lo < hi {
@@ -413,12 +427,13 @@ func (r BlockRef) SwitchWeighted(targets []Target, weights []int) {
 					hi = mid
 				}
 			}
-			return addrs[lo]
+			return lo
 		}, targets...)
 }
 
 // Build validates the layout, resolves forward references and returns
-// the executable Program entered at entry.
+// the executable Program entered at entry. The Program takes over the
+// builder's columns, so the Builder is not used after Build.
 func (b *Builder) Build(entry BlockRef) (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -426,43 +441,40 @@ func (b *Builder) Build(entry BlockRef) (*Program, error) {
 	if len(b.nodes) == 0 {
 		return nil, fmt.Errorf("workload: empty program")
 	}
+	nodes := b.nodes
 	p := &Program{
-		nodes:  append([]node(nil), b.nodes...),
-		byAddr: make(map[zarch.Addr]int, len(b.nodes)),
+		nodes:  nodes,
+		pads:   b.pads,
+		tgts:   make([]zarch.Addr, len(b.refs)),
+		tgtIdx: make([]int32, len(b.refs)),
 		entry:  entry.idx,
 		slots:  b.slots,
 	}
-	for i := range p.nodes {
-		p.byAddr[p.nodes[i].addr] = i
-	}
-	for i := range p.nodes {
-		n := &p.nodes[i]
-		for _, ref := range n.tgtRefs {
-			a, err := ref.resolve()
+	for i := range nodes {
+		n := &nodes[i]
+		for k := n.tgt0; k < n.tgt0+n.nTgt; k++ {
+			j, err := b.refs[k].resolve()
 			if err != nil {
 				return nil, fmt.Errorf("workload: block at %s: %w", n.addr, err)
 			}
-			if _, ok := p.byAddr[a]; !ok {
-				return nil, fmt.Errorf("workload: block at %s targets non-block address %s", n.addr, a)
-			}
-			n.tgtAddrs = append(n.tgtAddrs, a)
+			p.tgts[k] = nodes[j].addr
+			p.tgtIdx[k] = int32(j)
 		}
-		n.fall = i + 1
-		if n.isCall {
+		// Layout is monotonic, so the next node is the only one that
+		// can start where this block ends.
+		last := i == len(nodes)-1
+		if n.isCall && (last || nodes[i+1].addr != n.end) {
 			// The NSIA pushed by a call must itself be a block entry so
 			// the matching Return can resume there.
-			if _, ok := p.byAddr[n.end]; !ok {
-				return nil, fmt.Errorf("workload: call at %s has non-block NSIA %s", n.brAddr, n.end)
-			}
+			return nil, fmt.Errorf("workload: call at %s has non-block NSIA %s", n.end-zarch.Addr(n.brLen), n.end)
 		}
-		needsFall := !n.hasBranch || n.brKind.Conditional()
-		if needsFall {
-			if n.fall >= len(p.nodes) {
+		if !n.hasBranch || n.brKind.Conditional() {
+			if last {
 				return nil, fmt.Errorf("workload: block at %s falls off the program", n.addr)
 			}
-			if p.nodes[n.fall].addr != n.end {
+			if nodes[i+1].addr != n.end {
 				return nil, fmt.Errorf("workload: block at %s falls through to %s but successor is at %s",
-					n.addr, n.end, p.nodes[n.fall].addr)
+					n.addr, n.end, nodes[i+1].addr)
 			}
 		}
 	}
@@ -491,16 +503,15 @@ type Exec struct {
 	rng *hashx.Rand
 
 	cur    int // current node
-	padPos int // next pad instruction within the node
+	padPos int // next pad instruction, an index into the program's pads
 	padAdr zarch.Addr
 
-	stack []zarch.Addr
+	stack []int32 // node index of each pending call's NSIA
 	// slot holds the per-interpreter behavioral state of the program's
 	// branch closures (loop counters, pattern positions, round-robin
 	// indices), indexed by the slot ids the Builder allocated.
 	slot []int64
 	hist uint64 // bitvector of recent conditional outcomes, bit 0 newest
-	path uint64 // folded taken-branch path
 	// tgtRing holds the most recent taken-branch targets; ChoosePath
 	// correlates with a couple of them at small lags -- shallow path
 	// history, the regime a GPV-indexed changing target buffer is built
@@ -510,16 +521,17 @@ type Exec struct {
 }
 
 // recentTgt returns the lag-th most recent taken-branch target (lag 1 =
-// newest).
+// newest) for lags up to the ring's 8 entries. A larger lag wraps
+// around the ring: recentTgt(11) returns the target 3 taken branches
+// back.
 func (e *Exec) recentTgt(lag int) zarch.Addr {
 	return e.tgtRing[(e.tgtPos-(lag-1)+2*len(e.tgtRing))%len(e.tgtRing)]
 }
 
 // NewExec returns an interpreter over p with the given rng seed.
 func NewExec(p *Program, seed uint64) *Exec {
-	e := &Exec{p: p, rng: hashx.New(seed), cur: p.entry,
-		slot: make([]int64, p.slots)}
-	e.padAdr = p.nodes[p.entry].addr
+	e := &Exec{p: p, rng: hashx.New(seed), slot: make([]int64, p.slots)}
+	e.enter(p.entry)
 	return e
 }
 
@@ -533,39 +545,46 @@ func (e *Exec) pushHist(taken bool) {
 }
 
 func (e *Exec) enter(idx int) {
+	n := &e.p.nodes[idx]
 	e.cur = idx
-	e.padPos = 0
-	e.padAdr = e.p.nodes[idx].addr
+	e.padPos = int(n.pad0)
+	e.padAdr = n.addr
 }
 
 // Next implements trace.Source; the stream is unbounded.
 func (e *Exec) Next() (trace.Rec, bool) {
 	for {
-		n := &e.p.nodes[e.cur]
-		if e.padPos < len(n.padLens) {
-			ln := n.padLens[e.padPos]
+		p := e.p
+		n := &p.nodes[e.cur]
+		if e.padPos < int(n.pad0+n.nPad) {
+			ln := p.pads[e.padPos]
 			r := trace.Rec{Addr: e.padAdr, Meta: trace.RecMeta(ln, 0, false)}
 			e.padPos++
 			e.padAdr += zarch.Addr(ln)
 			return r, true
 		}
+		next := e.cur + 1
 		if n.hasBranch {
 			taken := n.dir(e)
 			var target zarch.Addr
 			if taken {
 				if n.isReturn {
 					if len(e.stack) > 0 {
-						target = e.stack[len(e.stack)-1]
+						next = int(e.stack[len(e.stack)-1])
 						e.stack = e.stack[:len(e.stack)-1]
 					} else {
 						// Defensive: structured generators never underflow.
-						target = e.p.nodes[e.p.entry].addr
+						next = p.entry
 					}
+					target = p.nodes[next].addr
 				} else {
-					target = n.choose(e, n.tgtAddrs)
+					k := int(n.tgt0) + n.choose(e, int(n.nTgt))
+					next = int(p.tgtIdx[k])
+					target = p.tgts[k]
 				}
 				if n.isCall {
-					e.stack = append(e.stack, n.brAddr+zarch.Addr(n.brLen))
+					// Build checked that the NSIA starts the next node.
+					e.stack = append(e.stack, int32(e.cur+1))
 					if len(e.stack) > 256 {
 						// Bound runaway recursion in ill-formed generators.
 						e.stack = e.stack[1:]
@@ -575,26 +594,16 @@ func (e *Exec) Next() (trace.Rec, bool) {
 			if n.brKind.Conditional() {
 				e.pushHist(taken)
 			}
-			r := trace.NewRec(n.brAddr, n.brLen, n.brKind, taken, target, 0)
+			r := trace.NewRec(n.end-zarch.Addr(n.brLen), n.brLen, n.brKind, taken, target, 0)
 			if taken {
-				e.path = e.path<<7 ^ e.path>>57 ^ uint64(target)>>1
 				e.tgtPos = (e.tgtPos + 1) % len(e.tgtRing)
 				e.tgtRing[e.tgtPos] = target
-				idx, ok := e.p.byAddr[target]
-				if !ok {
-					// Return targets always land on block entries because
-					// calls terminate their blocks; anything else is a
-					// generator bug, so fail loudly.
-					panic(fmt.Sprintf("workload: branch at %s targets non-block %s", n.brAddr, target))
-				}
-				e.enter(idx)
-			} else {
-				e.enter(n.fall)
 			}
+			e.enter(next)
 			return r, true
 		}
 		// Pure fallthrough block: move on without emitting.
-		e.enter(n.fall)
+		e.enter(next)
 	}
 }
 

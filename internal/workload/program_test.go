@@ -304,3 +304,25 @@ func TestProgramFootprint(t *testing.T) {
 		t.Errorf("Footprint = %d", fp)
 	}
 }
+
+// TestMakeAllocCeiling bounds what constructing the large LSPR
+// programs allocates. The program IR keeps pads, targets and labels in
+// per-builder columns, so the count tracks the branch closures, not
+// one slice per block and branch. The ceilings are a quarter of what a
+// per-block layout allocated (65,046 and 193,451 objects).
+func TestMakeAllocCeiling(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+	}{{"lspr", 16000}, {"lspr-large", 48000}} {
+		got := testing.AllocsPerRun(2, func() {
+			if _, err := Make(c.name, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("Make(%q, 1): %.0f allocations", c.name, got)
+		if got > c.ceiling {
+			t.Errorf("Make(%q, 1) allocates %.0f objects, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}

@@ -29,9 +29,12 @@
 # summed over the runs.
 # Quartiles are statistics.quantiles(n=4), as in perfbench/spread.py.
 # The exit status is nonzero on any run error (a run that exits
-# nonzero or prints no result line) or any `worse` verdict. The
-# worktree is removed on exit. Nothing under perfbench/ and no
-# BENCHMARK.json is changed.
+# nonzero or prints no result line) or any `worse` verdict; the report
+# prints the last three lines of an erroring run's stderr under its
+# `run error:` line. Each run's stderr is kept in
+# .bench_build/ab/logs/<workload>-seed<N>-<side>.err. The worktree and
+# the results file are removed on exit; the logs stay. Nothing under
+# perfbench/ and no BENCHMARK.json is changed.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -70,7 +73,8 @@ fi
 ab="$root/.bench_build/ab"
 wt="$ab/$(git rev-parse --short "$sha")"
 results="$ab/results.$$"
-mkdir -p "$ab"
+logs="$ab/logs"
+mkdir -p "$ab" "$logs"
 cleanup() {
 	git worktree remove --force "$wt" 2>/dev/null || { chmod -R u+w "$wt" 2>/dev/null; rm -rf "$wt"; }
 	git worktree prune
@@ -82,11 +86,11 @@ git worktree add --detach --quiet "$wt" "$sha"
 : >"$results"
 
 # run SIDE DIR WORKLOAD SEED appends "SIDE WORKLOAD SEED EXIT RESULTLINE"
-# to the results file.
+# to the results file and keeps the run's stderr in the logs directory.
 run() {
 	local side="$1" dir="$2" w="$3" seed="$4" out code=0
 	out="$(cd "$dir" && bash perfbench/run.sh --workload "$w" --seed "$seed" \
-		--seconds "$seconds" --trace 0 2>/dev/null)" || code=$?
+		--seconds "$seconds" --trace 0 2>"$logs/$w-seed$seed-$side.err")" || code=$?
 	printf '%s %s %s %s %s\n' "$side" "$w" "$seed" "$code" "$(printf '%s\n' "$out" | tail -n 1)" >>"$results"
 	echo "perf_ab: $w seed $seed $side exit $code" >&2
 }
@@ -105,12 +109,12 @@ for w in "${workloads[@]}"; do
 	done
 done
 
-python3 - "$results" "$rev" "${workloads[@]}" <<'EOF'
+python3 - "$results" "$logs" "$rev" "${workloads[@]}" <<'EOF'
 import json
 import statistics
 import sys
 
-results, rev, workloads = sys.argv[1], sys.argv[2], sys.argv[3:]
+results, logs, rev, workloads = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
 bench = json.load(open("BENCHMARK.json"))
 metrics = bench["end_to_end"]
 
@@ -125,6 +129,12 @@ for line in open(results):
     if code != "0" or res is None:
         errors += 1
         print(f"run error: {w} seed {seed} {side} exited {code}")
+        try:
+            tail = open(f"{logs}/{w}-seed{seed}-{side}.err").read().splitlines()[-3:]
+        except OSError:
+            tail = ["(no stderr log)"]
+        for l in tail:
+            print(f"    {l}")
     if res is not None:
         runs.setdefault((w, side), {})[seed] = res
 
