@@ -26,7 +26,7 @@
 // serves the same API by sharding sweep grids across backends:
 //
 //	zbpd -coordinator -backends http://host1:8347,http://host2:8347 \
-//	     -router rendezvous -hedge-delay 400ms
+//	     -hedge-delay 400ms
 //
 // On SIGINT/SIGTERM the listener stops, running jobs and their event
 // streams are canceled, in-flight simulations drain (bounded by
@@ -73,7 +73,6 @@ func main() {
 		coordinator  = flag.Bool("coordinator", false, "run as a fleet coordinator instead of a simulation backend")
 		backends     = flag.String("backends", "", "comma-separated backend base URLs (coordinator mode)")
 		backendsFile = flag.String("backends-file", "", "file with one backend URL per line, re-read on change (coordinator mode)")
-		router       = flag.String("router", "rendezvous", "cell routing policy: rendezvous, least-loaded, round-robin")
 		cellTO       = flag.Duration("cell-timeout", 60*time.Second, "per-attempt deadline for one dispatched cell (coordinator mode)")
 		hedgeDelay   = flag.Duration("hedge-delay", 400*time.Millisecond, "straggler threshold before a duplicate dispatch (0 = the 400ms default, negative disables; coordinator mode)")
 		maxAttempts  = flag.Int("max-attempts", 0, "dispatch attempts per cell incl. retries and the hedge (0 = max(3, #backends); coordinator mode)")
@@ -101,7 +100,6 @@ func main() {
 		coord, err := cluster.New(cluster.Config{
 			Backends:            clean,
 			BackendsFile:        *backendsFile,
-			Router:              *router,
 			CellTimeout:         *cellTO,
 			HedgeDelay:          *hedgeDelay,
 			MaxAttempts:         *maxAttempts,
@@ -125,7 +123,7 @@ func main() {
 			os.Exit(1)
 		}
 		srv = coord.Server
-		log.Printf("zbpd: coordinating %d backends (router %s)", len(coord.Backends()), *router)
+		log.Printf("zbpd: coordinating %d backends", len(coord.Backends()))
 	} else {
 		var err error
 		srv, err = server.New(server.Config{

@@ -27,7 +27,7 @@ type backend struct {
 	load        atomic.Pointer[server.Health]
 
 	// departed marks a member being deregistered: it takes no new
-	// dispatches (every router and retry path skips it) while its
+	// dispatches (routing and every retry path skip it) while its
 	// in-flight attempts drain, then it is forgotten.
 	departed atomic.Bool
 

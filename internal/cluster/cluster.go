@@ -6,11 +6,9 @@
 // executor that dispatches each cell to a backend over the /v1/cell
 // protocol with:
 //
-//   - Pluggable routing: rendezvous hashing on the result cache's
-//     canonical spec key (the default — identical cells always land on
-//     the backend that already holds the cached bytes), least-loaded
-//     (queue depth x run_seconds_ewma scraped from each backend's
-//     /healthz JSON), and round-robin.
+//   - Rendezvous routing on the result cache's canonical spec key:
+//     identical cells always land on the backend that already holds
+//     the cached bytes.
 //   - Per-backend in-flight caps behind the front end's token-bucket
 //     admission control: fleet saturation becomes a 429 with a
 //     fleet-derived Retry-After instead of an unbounded pile-up.
@@ -60,8 +58,8 @@ type Config struct {
 	// re-reads it when it changes and reconciles membership to it —
 	// the file is declarative and wins over earlier admin edits.
 	BackendsFile string
-	// Router selects the routing policy: "rendezvous" (default),
-	// "least-loaded", or "round-robin".
+	// Router names the routing policy. Only "rendezvous" exists; empty
+	// means the same.
 	Router string
 
 	// CellTimeout bounds one dispatch attempt of one cell. Default: 60s.
@@ -104,7 +102,8 @@ type Config struct {
 	// default of 16; negative disables auditing.
 	AuditEvery int
 
-	// Request surface limits, mirroring the single-box service.
+	// Request surface limits, mirroring the single-box service: zero
+	// takes server.Config's default, except MaxSweepCells.
 	MaxBodyBytes        int64
 	MaxSweepCells       int // default 16384: fleets exist for big grids
 	MaxInstructions     int
@@ -120,9 +119,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Router == "" {
-		c.Router = "rendezvous"
-	}
 	if c.CellTimeout <= 0 {
 		c.CellTimeout = 60 * time.Second
 	}
@@ -150,32 +146,11 @@ func (c Config) withDefaults() Config {
 	if c.HealthFailures <= 0 {
 		c.HealthFailures = 3
 	}
-	if c.AuditEvery == 0 {
-		c.AuditEvery = 16
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.MaxSweepCells <= 0 {
 		c.MaxSweepCells = 16384
 	}
-	if c.MaxInstructions <= 0 {
-		c.MaxInstructions = 20_000_000
-	}
-	if c.DefaultInstructions <= 0 {
-		c.DefaultInstructions = 1_000_000
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 60 * time.Second
-	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 64
-	}
-	if c.JobTTL <= 0 {
-		c.JobTTL = 15 * time.Minute
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -191,9 +166,8 @@ type Coordinator struct {
 	*server.Server
 
 	cfg    Config
-	fleet  memberSet // mutable, versioned membership registry
-	router router
-	rr     atomic.Uint64 // shared rotation cursor (round-robin, tie-breaks, diff forwarding)
+	fleet  memberSet     // mutable, versioned membership registry
+	rr     atomic.Uint64 // diff forwarding's rotation cursor
 	client *http.Client
 
 	// baseCtx bounds the probe loop and membership drains; Shutdown
@@ -233,16 +207,15 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: duplicate backend %s", b.url)
 		}
 	}
-	r, err := newRouter(c.cfg.Router, &c.rr)
-	if err != nil {
-		return nil, err
+	if r := c.cfg.Router; r != "" && r != "rendezvous" {
+		return nil, fmt.Errorf("cluster: unknown router %q (have rendezvous)", r)
 	}
-	c.router = r
 	c.client = &http.Client{Transport: &http.Transport{
 		MaxIdleConnsPerHost: c.cfg.InflightPerBackend + 2,
 		IdleConnTimeout:     90 * time.Second,
 	}}
 	c.baseCtx, c.baseCancel = context.WithCancel(context.Background())
+	var err error
 	c.Server, err = server.NewFrontend(server.Config{
 		MaxBodyBytes:        c.cfg.MaxBodyBytes,
 		MaxInstructions:     c.cfg.MaxInstructions,
@@ -334,7 +307,7 @@ func (c *Coordinator) Diff(ctx context.Context, req server.DiffRequest, seed uin
 }
 
 // TraceName passes path-backed workloads (file:/spec:) through: each
-// backend enforces its own -trace-dir allowlist, and the router keys by
+// backend enforces its own -trace-dir allowlist, and routing keys by
 // content digest when the coordinator can read the file, by name
 // otherwise (stable either way).
 func (c *Coordinator) TraceName(name string) (string, error) { return name, nil }
@@ -393,7 +366,7 @@ type HealthResponse struct {
 
 func (c *Coordinator) Health() any {
 	return HealthResponse{
-		Status: "ok", Role: "coordinator", Router: c.router.name(),
+		Status: "ok", Role: "coordinator", Router: "rendezvous",
 		Version: c.fleet.generation(), Backends: c.Backends(),
 	}
 }
@@ -441,12 +414,6 @@ func (c *Coordinator) Shutdown() {
 	c.client.CloseIdleConnections()
 }
 
-// RouteKey returns the routing identity of a cell: exactly the result
-// cache's content address (rcache.NewKey), so the rendezvous router
-// and every backend's cache agree on what "the same cell" means.
-// TestRouteKeyMatchesCacheKey pins that the two never drift.
-func RouteKey(spec rcache.CellSpec) rcache.Key { return rcache.NewKey(spec) }
-
 // candidates filters a membership snapshot down to routable backends.
 // Departed members are dropped first — a deregistration applies
 // instantly, even to sweeps pinned to an older snapshot. If that
@@ -482,13 +449,15 @@ func (c *Coordinator) candidates(members []*backend) []*backend {
 }
 
 // order returns the preference-ordered backends for one cell, routing
-// within the sweep's membership snapshot.
+// within the sweep's membership snapshot. The routing key is the result
+// cache's content address itself, so routing and every backend's cache
+// agree on what "the same cell" means.
 func (c *Coordinator) order(members []*backend, spec rcache.CellSpec) []*backend {
 	cands := c.candidates(members)
 	if len(cands) == 0 {
 		return nil
 	}
-	return c.router.order(RouteKey(spec).Hash64(), cands)
+	return rendezvousOrder(rcache.NewKey(spec).Hash64(), cands)
 }
 
 // probeLoop polls every member's /healthz on the configured interval

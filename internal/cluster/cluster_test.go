@@ -326,6 +326,13 @@ func TestSyncSurface(t *testing.T) {
 		t.Errorf("unknown workload: status %d, want 400", resp.StatusCode)
 	}
 
+	// A coordinator built with no limits takes the single box's
+	// 20M-instruction ceiling.
+	resp, _ = postJSON(t, f.url+"/v1/simulate", server.SimulateRequest{Workload: "loops", Instructions: 20_000_001})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("over-budget simulate: status %d, want 400", resp.StatusCode)
+	}
+
 	// Oversize bodies must map to 413, not 400, matching the single box.
 	big := fmt.Sprintf(`{"workloads":["loops"],"seeds":[1],"instructions":20000,"tag":%q}`,
 		strings.Repeat("x", 2<<20))

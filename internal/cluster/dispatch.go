@@ -30,7 +30,7 @@ type attemptResult struct {
 }
 
 // dispatchCell resolves one cell against the fleet: primary dispatch
-// on the router's first choice, one hedged duplicate on the next
+// on the rendezvous first choice, one hedged duplicate on the next
 // choice if the primary dawdles past HedgeDelay, and immediate
 // rerouting on failure — all capped at MaxAttempts launches. The
 // first successful response wins; determinism makes every response

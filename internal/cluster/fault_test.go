@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"zbp/internal/jobs"
+	"zbp/internal/rcache"
 	"zbp/internal/server"
 )
 
@@ -32,7 +33,7 @@ func fakeBackend(t *testing.T, misbehave http.HandlerFunc) *httptest.Server {
 }
 
 // mixedFleet builds a coordinator over one real backend plus the
-// given fakes, using round-robin so the fakes get primary dispatches.
+// given fakes; f.backends lists the real one first.
 func mixedFleet(t *testing.T, mut func(*Config), fakes ...*httptest.Server) *fleet {
 	t.Helper()
 	f := &fleet{}
@@ -45,13 +46,13 @@ func mixedFleet(t *testing.T, mut func(*Config), fakes ...*httptest.Server) *fle
 		good.Close()
 		s.Close()
 	})
-	urls := []string{good.URL}
-	for _, fb := range fakes {
-		urls = append(urls, fb.URL)
+	f.backends = append([]*httptest.Server{good}, fakes...)
+	urls := make([]string, len(f.backends))
+	for i, ts := range f.backends {
+		urls[i] = ts.URL
 	}
 	cfg := Config{
 		Backends:       urls,
-		Router:         "round-robin",
 		HealthInterval: 20 * time.Millisecond,
 		CellTimeout:    5 * time.Second,
 		HedgeDelay:     25 * time.Millisecond,
@@ -72,6 +73,25 @@ func mixedFleet(t *testing.T, mut func(*Config), fakes ...*httptest.Server) *fle
 		coord.Close()
 	})
 	return f
+}
+
+// seedsRoutedTo returns n seeds whose 20k-instruction loops cell has
+// the backend at url as its rendezvous primary, so the ports httptest
+// draws cannot starve a fake of primaries.
+func seedsRoutedTo(t *testing.T, f *fleet, url string, n int) []uint64 {
+	t.Helper()
+	members := f.coord.fleet.snapshot()
+	var seeds []uint64
+	for seed := uint64(1); len(seeds) < n; seed++ {
+		if seed > 10_000 {
+			t.Fatalf("no %d seeds route to %s", n, url)
+		}
+		spec := rcache.CellSpec{Config: "z15", Workload: "loops", Seed: seed, Instructions: 20_000}
+		if f.coord.order(members, spec)[0].url == url {
+			seeds = append(seeds, seed)
+		}
+	}
+	return seeds
 }
 
 func metricsText(t *testing.T, base string) string {
@@ -101,9 +121,10 @@ func TestHedgeBeatsStraggler(t *testing.T) {
 		<-r.Context().Done() // hold the cell until the coordinator gives up
 	})
 	f := mixedFleet(t, nil, staller)
+	seeds := append(seedsRoutedTo(t, f, staller.URL, 3), seedsRoutedTo(t, f, f.backends[0].URL, 3)...)
 
 	st := runSweepJob(t, f.url, server.SweepRequest{
-		Workloads: []string{"loops"}, Seeds: []uint64{1, 2, 3, 4, 5, 6}, Instructions: 20_000,
+		Workloads: []string{"loops"}, Seeds: seeds, Instructions: 20_000,
 	})
 	if st.Progress.CellsDone != 6 {
 		t.Errorf("finished %d/6 cells", st.Progress.CellsDone)
@@ -131,9 +152,10 @@ func TestSaturatedBackendRerouted(t *testing.T) {
 		_, _ = w.Write([]byte(`{"error":"job queue full, retry later"}`))
 	})
 	f := mixedFleet(t, nil, sat)
+	seeds := append(seedsRoutedTo(t, f, sat.URL, 2), seedsRoutedTo(t, f, f.backends[0].URL, 2)...)
 
 	st := runSweepJob(t, f.url, server.SweepRequest{
-		Workloads: []string{"loops"}, Seeds: []uint64{1, 2, 3, 4}, Instructions: 20_000,
+		Workloads: []string{"loops"}, Seeds: seeds, Instructions: 20_000,
 	})
 	if st.Progress.CellsDone != 4 {
 		t.Errorf("finished %d/4 cells", st.Progress.CellsDone)

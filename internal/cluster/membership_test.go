@@ -359,7 +359,7 @@ func TestCoordCacheAuditCatchesPoison(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("simulate: status %d: %s", resp.StatusCode, body)
 	}
-	honest, ok := f.coord.Cache().Get(RouteKey(rcache.CellSpec{
+	honest, ok := f.coord.Cache().Get(rcache.NewKey(rcache.CellSpec{
 		Config: "z15", Workload: "loops", Seed: 42, Instructions: 20_000,
 	}))
 	if !ok {
@@ -367,7 +367,7 @@ func TestCoordCacheAuditCatchesPoison(t *testing.T) {
 	}
 	// ...and plant them under seed 7's address: a parseable lie.
 	seed := uint64(7)
-	f.coord.Cache().Put(RouteKey(rcache.CellSpec{
+	f.coord.Cache().Put(rcache.NewKey(rcache.CellSpec{
 		Config: "z15", Workload: "loops", Seed: seed, Instructions: 20_000,
 	}), honest)
 

@@ -1,116 +1,22 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"zbp/internal/hashx"
 )
 
-// router orders candidate backends by preference for one cell. The
-// first element is the primary; retries and the hedge walk the rest.
-// Implementations must not mutate cands.
-type router interface {
-	name() string
-	order(key uint64, cands []*backend) []*backend
-}
-
-func newRouter(name string, rr *atomic.Uint64) (router, error) {
-	switch name {
-	case "rendezvous":
-		return rendezvousRouter{}, nil
-	case "least-loaded":
-		return leastLoadedRouter{rr: rr}, nil
-	case "round-robin":
-		return roundRobinRouter{rr: rr}, nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown router %q (have rendezvous, least-loaded, round-robin)", name)
-	}
-}
-
-// rendezvousRouter is highest-random-weight hashing on the result
+// rendezvousOrder is highest-random-weight hashing on the result
 // cache's canonical cell key: every coordinator (no shared state, no
 // ring to rebalance) maps the same cell to the same backend, so a
 // repeated cell lands where its cached bytes already live. When a
 // backend drops out only its cells move (to their second choice);
 // everything else stays put — exactly the property that keeps a warm
-// fleet warm through membership churn.
-type rendezvousRouter struct{}
-
-func (rendezvousRouter) name() string { return "rendezvous" }
-
-func (rendezvousRouter) order(key uint64, cands []*backend) []*backend {
+// fleet warm through membership churn. The first element is the
+// primary; retries and the hedge walk the rest. cands is not mutated.
+func rendezvousOrder(key uint64, cands []*backend) []*backend {
 	out := append([]*backend(nil), cands...)
 	weight := func(b *backend) uint64 { return hashx.Mix(key ^ b.idHash) }
 	sort.SliceStable(out, func(i, j int) bool { return weight(out[i]) > weight(out[j]) })
 	return out
-}
-
-// roundRobinRouter rotates through the fleet, ignoring the key:
-// maximal spread, zero cache affinity. Useful as the control arm in
-// routing experiments and for workloads known to never repeat.
-type roundRobinRouter struct{ rr *atomic.Uint64 }
-
-func (roundRobinRouter) name() string { return "round-robin" }
-
-func (r roundRobinRouter) order(key uint64, cands []*backend) []*backend {
-	n := len(cands)
-	out := make([]*backend, 0, n)
-	start := int(r.rr.Add(1)-1) % n
-	for i := range n {
-		out = append(out, cands[(start+i)%n])
-	}
-	return out
-}
-
-// leastLoadedRouter sorts by an estimated time-to-drain derived from
-// each backend's scraped /healthz: (queued + in-flight, both remote
-// and locally dispatched) spread over its workers, scaled by its
-// smoothed per-task seconds. Backends without a load snapshot yet
-// sort as idle. Ties (the common case on an idle fleet) rotate so the
-// first requests don't all pile onto backend zero.
-type leastLoadedRouter struct{ rr *atomic.Uint64 }
-
-func (leastLoadedRouter) name() string { return "least-loaded" }
-
-func (r leastLoadedRouter) order(key uint64, cands []*backend) []*backend {
-	n := len(cands)
-	out := make([]*backend, 0, n)
-	start := int(r.rr.Add(1)-1) % n
-	for i := range n {
-		out = append(out, cands[(start+i)%n])
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return drainEstimate(out[i]) < drainEstimate(out[j])
-	})
-	return out
-}
-
-// drainEstimate scores one backend's busyness in seconds-to-idle.
-func drainEstimate(b *backend) float64 {
-	pending := float64(b.inflight.Load())
-	workers := 1.0
-	ewma := 0.05 // optimistic prior: an unprobed backend looks fast
-	if h := b.load.Load(); h != nil {
-		// The scraped snapshot counts the cells this coordinator has
-		// in flight too (they are queued or running over there), so
-		// take the larger of the local and remote views rather than
-		// their sum — summing counted every dispatched cell twice once
-		// a probe landed and skewed routing against busy-but-healthy
-		// boxes. The max also covers both staleness directions: cells
-		// dispatched since the probe (local higher) and other clients'
-		// load (remote higher).
-		remote := float64(h.QueueDepth) + float64(h.Inflight)
-		if remote > pending {
-			pending = remote
-		}
-		if h.Workers > 0 {
-			workers = float64(h.Workers)
-		}
-		if h.RunSecondsEWMA > ewma {
-			ewma = h.RunSecondsEWMA
-		}
-	}
-	return pending * ewma / workers
 }

@@ -19,34 +19,37 @@ import (
 // the pairwise checks in CheckNames.
 const AuditCheck = "cache-audit"
 
-// Recompute derives cell's canonical stats JSON from scratch — fresh
-// generator, fresh packed buffer, fresh predictor state — so it shares
-// no trace cache with the serving path whose result it checks. By the
+// RunCell runs one cell's simulation, cancellable through ctx. Its
+// traces come from mz, or are packed afresh when mz is nil. By the
 // rcache.CellSpec convention, Workload2 (when set) runs on the second
 // hardware thread at Seed+1.
-func Recompute(ctx context.Context, cell rcache.CellSpec) ([]byte, error) {
-	if cell.Instructions <= 0 {
-		return nil, fmt.Errorf("equiv: audit cell %s needs a positive instruction budget", cell.Name())
-	}
+func RunCell(ctx context.Context, mz *workload.Materializer, cell rcache.CellSpec) (sim.Result, error) {
 	gen, err := core.ByName(cell.Config)
 	if err != nil {
-		return nil, err
+		return sim.Result{}, err
 	}
-	p, err := workload.MakePacked(cell.Workload, cell.Seed, cell.Instructions)
+	p, err := mz.Get(cell.Workload, cell.Seed, cell.Instructions)
 	if err != nil {
-		return nil, err
+		return sim.Result{}, err
 	}
 	cur := p.Cursor()
 	srcs := []trace.Source{&cur}
 	if cell.Workload2 != "" {
-		p2, err := workload.MakePacked(cell.Workload2, cell.Seed+1, cell.Instructions)
+		p2, err := mz.Get(cell.Workload2, cell.Seed+1, cell.Instructions)
 		if err != nil {
-			return nil, err
+			return sim.Result{}, err
 		}
 		cur2 := p2.Cursor()
 		srcs = append(srcs, &cur2)
 	}
-	res, err := sim.New(sim.ForGeneration(gen), srcs).RunCtx(ctx, 0)
+	return sim.New(sim.ForGeneration(gen), srcs).RunCtx(ctx, 0)
+}
+
+// Recompute derives cell's canonical stats JSON from scratch — fresh
+// generator, fresh packed buffer, fresh predictor state — so it shares
+// no trace cache with the serving path whose result it checks.
+func Recompute(ctx context.Context, cell rcache.CellSpec) ([]byte, error) {
+	res, err := RunCell(ctx, nil, cell)
 	if err != nil {
 		return nil, err
 	}

@@ -184,15 +184,6 @@ func checkRunVsRunCtx(ctx context.Context, env *cellEnv, rep *verif.DiffReport) 
 	return env.compareExact(rep, "run-vs-runctx", "RunCtx(cancellable ctx)", res)
 }
 
-// histTotal sums a histogram's bucket counts (= observations).
-func histTotal(h metrics.Hist) int64 {
-	var n int64
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
 // countSink tallies the event log by kind and thread.
 type countSink struct {
 	predicts int64
@@ -266,7 +257,7 @@ func checkEventReplay(ctx context.Context, env *cellEnv, rep *verif.DiffReport) 
 			rep.Addf(check, cell, pfx+"dynamic_predicted",
 				"event log has %d dynamic resolves, counters say %d", sink.dynamic[t], st.DynamicPredicted)
 		}
-		if got, want := sink.restarts[t], histTotal(st.RestartHist); got != want {
+		if got, want := sink.restarts[t], st.RestartHist.Total(); got != want {
 			rep.Addf(check, cell, pfx+"restart_hist",
 				"event log has %d restarts, restart histogram holds %d", got, want)
 		}

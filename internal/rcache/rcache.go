@@ -75,8 +75,8 @@ func (s CellSpec) Name() string {
 // workload (file:/spec: form) canonicalizes to its SHA-256 content
 // digest, so the same name over edited bytes is a *different* key —
 // without this, a mutable trace file would silently serve stale cached
-// results (and stale cluster routing via RouteKey). Generator names
-// are their own identity and render unchanged.
+// results (and stale cluster routing, which hashes this key).
+// Generator names are their own identity and render unchanged.
 //
 // An unresolvable identity (unreadable file) falls back to the raw
 // name: the compute for such a spec fails too, and failed computes are
@@ -137,10 +137,10 @@ func (k Key) String() string { return k.canonical }
 func (k Key) Hash() string { return fmt.Sprintf("%016x", k.hash) }
 
 // Hash64 returns the raw 64-bit content hash. The cluster
-// coordinator's rendezvous router mixes it against backend identities
+// coordinator's rendezvous routing mixes it against backend identities
 // so identical cells always land on the backend whose result cache
-// already holds them — router and cache share this one key
-// definition, which TestRouteKeyMatchesCacheKey pins.
+// already holds them — routing and cache share this one key
+// definition.
 func (k Key) Hash64() uint64 { return k.hash }
 
 // Config sizes a Cache. The zero value is a usable memory-only cache

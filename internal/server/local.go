@@ -10,12 +10,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"zbp/internal/core"
 	"zbp/internal/equiv"
 	"zbp/internal/metrics"
 	"zbp/internal/rcache"
-	"zbp/internal/sim"
-	"zbp/internal/trace"
 	"zbp/internal/workload"
 )
 
@@ -84,7 +81,7 @@ func (l *local) Exec(ctx context.Context, cell rcache.CellSpec, _ bool) (Outcome
 // equiv auditor re-derives. Truncated results are an error: a partial
 // run is neither cacheable nor a valid sweep row.
 func (l *local) computeCellStats(ctx context.Context, cell rcache.CellSpec) ([]byte, error) {
-	res, err := l.runCellSim(ctx, cell)
+	res, err := equiv.RunCell(ctx, l.mz, cell)
 	if err != nil {
 		return nil, err
 	}
@@ -93,31 +90,6 @@ func (l *local) computeCellStats(ctx context.Context, cell rcache.CellSpec) ([]b
 	}
 	l.instructions.Add(res.Instructions())
 	return res.StatsJSON()
-}
-
-// runCellSim materializes the cell's workload(s) through the shared
-// trace cache and runs one cancellable simulation. By convention
-// Workload2 runs at Seed+1.
-func (l *local) runCellSim(ctx context.Context, spec rcache.CellSpec) (sim.Result, error) {
-	gen, err := core.ByName(spec.Config)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	p, err := l.mz.Get(spec.Workload, spec.Seed, spec.Instructions)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	cur := p.Cursor()
-	srcs := []trace.Source{&cur}
-	if spec.Workload2 != "" {
-		p2, err := l.mz.Get(spec.Workload2, spec.Seed+1, spec.Instructions)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		cur2 := p2.Cursor()
-		srcs = append(srcs, &cur2)
-	}
-	return sim.New(sim.ForGeneration(gen), srcs).RunCtx(ctx, 0)
 }
 
 // Recompute runs a sampled hit from scratch through equiv.Recompute —

@@ -556,8 +556,8 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 }
 
 // Health is the single box's GET /healthz body: liveness plus the load
-// signals a coordinator's least-loaded router needs, as cheap JSON — no
-// Prometheus text parsing on the polling path.
+// signals a coordinator's Retry-After and run_seconds_ewma read, as
+// cheap JSON — no Prometheus text parsing on the polling path.
 type Health struct {
 	Status        string `json:"status"`
 	Workers       int    `json:"workers"`

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 
 	"zbp/internal/core"
 	"zbp/internal/trace"
@@ -132,35 +133,35 @@ func (s *JSONLSink) Emit(e Event) {
 	}
 	b := s.buf[:0]
 	b = append(b, `{"cycle":`...)
-	b = appendInt(b, e.Cycle)
+	b = strconv.AppendInt(b, e.Cycle, 10)
 	b = append(b, `,"kind":"`...)
 	b = append(b, e.Kind.String()...)
 	b = append(b, '"')
 	if e.Kind != EvFill {
 		b = append(b, `,"thread":`...)
-		b = appendInt(b, int64(e.Thread))
+		b = strconv.AppendInt(b, int64(e.Thread), 10)
 	}
-	b = append(b, `,"addr":"`...)
-	b = appendHex(b, uint64(e.Addr))
+	b = append(b, `,"addr":"0x`...)
+	b = strconv.AppendUint(b, uint64(e.Addr), 16)
 	b = append(b, '"')
 	switch e.Kind {
 	case EvPredict, EvResolve:
 		if e.Taken {
-			b = append(b, `,"target":"`...)
-			b = appendHex(b, uint64(e.Target))
+			b = append(b, `,"target":"0x`...)
+			b = strconv.AppendUint(b, uint64(e.Target), 16)
 			b = append(b, '"')
 		}
 		b = append(b, `,"taken":`...)
-		b = appendBool(b, e.Taken)
+		b = strconv.AppendBool(b, e.Taken)
 		if e.Kind == EvResolve {
 			b = append(b, `,"dynamic":`...)
-			b = appendBool(b, e.Dynamic)
+			b = strconv.AppendBool(b, e.Dynamic)
 			b = append(b, `,"correct":`...)
-			b = appendBool(b, e.Correct)
+			b = strconv.AppendBool(b, e.Correct)
 		}
 	case EvRestart:
 		b = append(b, `,"penalty":`...)
-		b = appendInt(b, e.Penalty)
+		b = strconv.AppendInt(b, e.Penalty, 10)
 	}
 	b = append(b, '}', '\n')
 	s.buf = b
@@ -183,47 +184,6 @@ func (s *JSONLSink) Flush() error {
 	}
 	s.err = s.w.Flush()
 	return s.err
-}
-
-func appendInt(b []byte, v int64) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(b, tmp[i:]...)
-}
-
-func appendHex(b []byte, v uint64) []byte {
-	const digits = "0123456789abcdef"
-	b = append(b, '0', 'x')
-	var tmp [16]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = digits[v&15]
-		v >>= 4
-		if v == 0 {
-			break
-		}
-	}
-	return append(b, tmp[i:]...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, "true"...)
-	}
-	return append(b, "false"...)
 }
 
 // SetEventSink wires sink into every event source of the simulation:

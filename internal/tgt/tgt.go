@@ -298,10 +298,3 @@ func (u *Unit) WrongTarget(sel Selection, addr zarch.Addr, ctx uint16, g history
 	}
 	return m
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -61,14 +61,14 @@ func (r Report) String() string {
 // predictor arrays, attach the white-box harness, simulate, and
 // crosscheck at checkpoints.
 func RunRandom(p Params) Report {
-	src := workload.LSPR(p.Seed, maxInt(p.Funcs, 8), 1.0)
+	src := workload.LSPR(p.Seed, max(p.Funcs, 8), 1.0)
 	c := core.New(p.Config)
 	h := Attach(c)
 
 	if p.Preload > 0 {
 		preloadFromTrace(c, p, src)
 		// Rebuild the source so the run starts from the beginning.
-		src = workload.LSPR(p.Seed, maxInt(p.Funcs, 8), 1.0)
+		src = workload.LSPR(p.Seed, max(p.Funcs, 8), 1.0)
 	}
 
 	fe := frontend.NewThread(frontend.DefaultConfig(), 0, c, nil,
@@ -114,11 +114,4 @@ func preloadFromTrace(c *core.Core, p Params, src trace.Source) {
 			c.Preload(1, info)
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
