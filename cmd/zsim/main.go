@@ -5,7 +5,7 @@
 //
 //	zsim -workload lspr -config z15 -n 1000000
 //	zsim -workload lspr -workload2 micro -config z15   # SMT2
-//	zsim -trace path.zbpt -config z14                  # trace file input
+//	zsim -workload file:path.zbpt -config z14          # trace file input
 //	zsim -stats-json out.json                          # schema-versioned stats snapshot
 //	zsim -events run.jsonl                             # cycle-level event log (JSONL)
 package main
@@ -29,9 +29,8 @@ import (
 
 func main() {
 	var (
-		wl      = flag.String("workload", "lspr", "workload name (see -listworkloads)")
+		wl      = flag.String("workload", "lspr", "workload name (see -listworkloads), file:<path> or spec:<path>")
 		wl2     = flag.String("workload2", "", "second thread's workload (SMT2 mode)")
-		tr      = flag.String("trace", "", "binary trace file instead of a generated workload")
 		cfgN    = flag.String("config", "z15", "machine config: zEC12, z13, z14, z15")
 		n       = flag.Int("n", 1_000_000, "instructions per thread")
 		seed    = flag.Uint64("seed", 42, "workload seed")
@@ -94,26 +93,12 @@ func main() {
 		cfg.Prefetch = false
 	}
 
-	var srcs []trace.Source
-	if *tr != "" {
-		// Load the whole file into the packed form with one sequential
-		// decode; the simulation then replays a pre-validated cursor
-		// with no per-record decode in the hot loop.
-		p, err := trace.LoadPackedFile(*tr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zsim:", err)
-			os.Exit(1)
-		}
-		cur := p.CursorN(*n)
-		srcs = append(srcs, &cur)
-	} else {
-		src, err := workload.Make(*wl, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zsim:", err)
-			os.Exit(2)
-		}
-		srcs = append(srcs, trace.Limit(src, *n))
+	src, err := workload.Make(*wl, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "zsim:", err)
+		os.Exit(2)
 	}
+	srcs := []trace.Source{trace.Limit(src, *n)}
 	if *wl2 != "" {
 		src2, err := workload.Make(*wl2, *seed+1)
 		if err != nil {

@@ -131,7 +131,8 @@ func waitJob(t *testing.T, base, id string) jobs.Status {
 	}
 }
 
-func runSweepJob(t *testing.T, base string, req server.SweepRequest) jobs.Status {
+// sweepJobDone submits a sweep job to base and waits for it to end done.
+func sweepJobDone(t *testing.T, base string, req server.SweepRequest) jobs.Status {
 	t.Helper()
 	id := submitJob(t, base, server.JobRequest{Sweep: &req})
 	st := waitJob(t, base, id)
@@ -153,7 +154,7 @@ func singleBoxSweep(t *testing.T, req server.SweepRequest) jobs.Status {
 		ts.Close()
 		s.Close()
 	})
-	return runSweepJob(t, ts.URL, req)
+	return sweepJobDone(t, ts.URL, req)
 }
 
 func testGrid() server.SweepRequest {
@@ -182,7 +183,7 @@ func TestFleetSweepByteIdentical(t *testing.T) {
 		c.HedgeDelay = -1
 		c.AuditEvery = -1
 	})
-	cold := runSweepJob(t, f.url, grid)
+	cold := sweepJobDone(t, f.url, grid)
 	if !bytes.Equal(cold.Result, want.Result) {
 		t.Errorf("fleet sweep differs from single box:\nfleet:  %s\nsingle: %s", cold.Result, want.Result)
 	}
@@ -197,7 +198,7 @@ func TestFleetSweepByteIdentical(t *testing.T) {
 	// Warm repeat: every cell is answered from the coordinator's own
 	// result cache — zero backend dispatches, byte-identical marshal.
 	dispatchedBefore := totalDispatched(f.coord)
-	warm := runSweepJob(t, f.url, grid)
+	warm := sweepJobDone(t, f.url, grid)
 	if !bytes.Equal(warm.Result, want.Result) {
 		t.Error("warm fleet sweep diverged from the reference result")
 	}
@@ -354,7 +355,7 @@ func TestAdmissionControl(t *testing.T) {
 		c.AdmitBurst = 2
 	})
 	grid := server.SweepRequest{Workloads: []string{"loops"}, Seeds: []uint64{1, 2}, Instructions: 20_000}
-	runSweepJob(t, f.url, grid) // spends the burst
+	sweepJobDone(t, f.url, grid) // spends the burst
 
 	resp, body := postJSON(t, f.url+"/v1/jobs", server.JobRequest{Sweep: &grid})
 	if resp.StatusCode != http.StatusTooManyRequests {

@@ -123,7 +123,7 @@ func TestHedgeBeatsStraggler(t *testing.T) {
 	f := mixedFleet(t, nil, staller)
 	seeds := append(seedsRoutedTo(t, f, staller.URL, 3), seedsRoutedTo(t, f, f.backends[0].URL, 3)...)
 
-	st := runSweepJob(t, f.url, server.SweepRequest{
+	st := sweepJobDone(t, f.url, server.SweepRequest{
 		Workloads: []string{"loops"}, Seeds: seeds, Instructions: 20_000,
 	})
 	if st.Progress.CellsDone != 6 {
@@ -154,7 +154,7 @@ func TestSaturatedBackendRerouted(t *testing.T) {
 	f := mixedFleet(t, nil, sat)
 	seeds := append(seedsRoutedTo(t, f, sat.URL, 2), seedsRoutedTo(t, f, f.backends[0].URL, 2)...)
 
-	st := runSweepJob(t, f.url, server.SweepRequest{
+	st := sweepJobDone(t, f.url, server.SweepRequest{
 		Workloads: []string{"loops"}, Seeds: seeds, Instructions: 20_000,
 	})
 	if st.Progress.CellsDone != 4 {
@@ -225,7 +225,7 @@ func TestNoSelfHedgeOnSingleBackend(t *testing.T) {
 		c.HedgeDelay = time.Millisecond // fires long before a 300k-instruction cell finishes
 		c.MaxAttempts = 4
 	})
-	st := runSweepJob(t, f.url, server.SweepRequest{
+	st := sweepJobDone(t, f.url, server.SweepRequest{
 		Workloads: []string{"loops"}, Seeds: []uint64{1, 2}, Instructions: 300_000,
 	})
 	if st.Progress.CellsDone != 2 {
@@ -247,7 +247,7 @@ func TestDeadBackendMarkedUnhealthy(t *testing.T) {
 
 	f := mixedFleet(t, func(c *Config) { c.HealthFailures = 2 }, dead)
 
-	st := runSweepJob(t, f.url, server.SweepRequest{
+	st := sweepJobDone(t, f.url, server.SweepRequest{
 		Workloads: []string{"loops"}, Seeds: []uint64{1, 2, 3, 4}, Instructions: 20_000,
 	})
 	if st.State != jobs.Done || st.Progress.CellsDone != 4 {

@@ -221,7 +221,7 @@ func TestRegisterColdBackendMidCampaign(t *testing.T) {
 		c.AuditEvery = -1 // audits dispatch for real; keep the zero-dispatch ledger exact
 	})
 	gridA := testGrid()
-	cold := runSweepJob(t, f.url, gridA)
+	cold := sweepJobDone(t, f.url, gridA)
 
 	third := newBackendServer(t)
 	aresp, body := postJSON(t, f.url+"/v1/backends", backendChangeRequest{URL: third.URL})
@@ -237,7 +237,7 @@ func TestRegisterColdBackendMidCampaign(t *testing.T) {
 		Seeds:        []uint64{11, 12, 13, 14, 15, 16},
 		Instructions: 20_000,
 	}
-	runSweepJob(t, f.url, gridB)
+	sweepJobDone(t, f.url, gridB)
 	var newcomer int64 = -1
 	for _, s := range f.coord.Backends() {
 		if s.URL == third.URL {
@@ -252,7 +252,7 @@ func TestRegisterColdBackendMidCampaign(t *testing.T) {
 	// backend dispatches, bytes unchanged by the membership change.
 	dispatchedBefore := totalDispatched(f.coord)
 	hitsBefore := f.coord.Cache().Hits()
-	warm := runSweepJob(t, f.url, gridA)
+	warm := sweepJobDone(t, f.url, gridA)
 	if !bytes.Equal(warm.Result, cold.Result) {
 		t.Error("warm repeat diverged after membership change")
 	}
@@ -299,7 +299,7 @@ func TestBackendsFileReload(t *testing.T) {
 	// A file-built fleet must actually route.
 	ts := httptest.NewServer(coord.Handler())
 	t.Cleanup(ts.Close)
-	runSweepJob(t, ts.URL, server.SweepRequest{
+	sweepJobDone(t, ts.URL, server.SweepRequest{
 		Workloads: []string{"loops"}, Seeds: []uint64{1, 2}, Instructions: 20_000,
 	})
 

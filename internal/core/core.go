@@ -692,15 +692,6 @@ func neededBy(h *btb.Hit) cpred.PowerMask {
 	return m
 }
 
-// PeekPred returns the oldest visible prediction for a thread without
-// consuming it. Predictions are visible once their b5 cycle has passed.
-func (c *Core) PeekPred(t int) (Prediction, bool) {
-	if p := c.VisiblePred(t); p != nil {
-		return *p, true
-	}
-	return Prediction{}, false
-}
-
 // VisiblePred returns a pointer to the oldest visible prediction, or
 // nil when none is presentable this cycle. This is the copy-free peek
 // the per-instruction dispatch path uses: Prediction is ~200 bytes, so

@@ -70,8 +70,8 @@ func TestPredictionPresentedAtB5(t *testing.T) {
 	var got Prediction
 	for i := 0; i < 20; i++ {
 		c.Cycle()
-		if p, ok := c.PeekPred(0); ok {
-			got = p
+		if p := c.VisiblePred(0); p != nil {
+			got = *p
 			break
 		}
 	}

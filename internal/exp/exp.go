@@ -195,24 +195,27 @@ func header(w io.Writer, e Experiment) {
 	fmt.Fprintf(w, "reproduces: %s\n\n", e.Paper)
 }
 
+// loopCore preloads a two-branch loop into c's BTB1, a's branch
+// jumping to b and b's back to a, and restarts thread t at a: the bare
+// core behind the figures 4-7 timing.
+func loopCore(c *core.Core, t int, a, b zarch.Addr) {
+	branch := func(from, to zarch.Addr) btb.Info {
+		return btb.Info{Addr: from + 8, Len: 4, Kind: zarch.KindUncondRel,
+			Target: to, BHT: sat.StrongT, Skoot: btb.SkootUnknown}
+	}
+	c.Preload(1, branch(a, b))
+	c.Preload(1, branch(b, a))
+	c.Restart(t, a, uint16(t))
+}
+
 // takenPeriod measures the steady-state cycle gap between consecutive
 // predicted-taken branches in a two-branch loop on a bare core
 // (figures 4-7 timing).
 func takenPeriod(cfg core.Config, smt2 bool) float64 {
 	c := core.New(cfg)
-	mk := func(addr, target zarch.Addr) btb.Info {
-		return btb.Info{Addr: addr, Len: 4, Kind: zarch.KindUncondRel,
-			Target: target, BHT: sat.StrongT, Skoot: btb.SkootUnknown}
-	}
-	a, b := zarch.Addr(0x10000), zarch.Addr(0x40000)
-	c.Preload(1, mk(a+8, b))
-	c.Preload(1, mk(b+8, a))
-	c.Restart(0, a, 0)
+	loopCore(c, 0, 0x10000, 0x40000)
 	if smt2 {
-		a2, b2 := zarch.Addr(0x90000), zarch.Addr(0xc0000)
-		c.Preload(1, mk(a2+8, b2))
-		c.Preload(1, mk(b2+8, a2))
-		c.Restart(1, a2, 1)
+		loopCore(c, 1, 0x90000, 0xc0000)
 	}
 	var times []int64
 	warm, meas := 60, 120

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"zbp/internal/btb"
 	"zbp/internal/core"
-	"zbp/internal/sat"
 	"zbp/internal/zarch"
 )
 
@@ -27,19 +25,11 @@ type searchEvent struct {
 // draws the first nSearches searches after warmup.
 func RenderPipelineTimeline(w io.Writer, cfg core.Config, nSearches int) {
 	c := core.New(cfg)
-	mk := func(addr, target zarch.Addr) btb.Info {
-		return btb.Info{Addr: addr, Len: 4, Kind: zarch.KindUncondRel,
-			Target: target, BHT: sat.StrongT, Skoot: btb.SkootUnknown}
-	}
-	a, b := zarch.Addr(0x10000), zarch.Addr(0x40000)
-	c.Preload(1, mk(a+8, b))
-	c.Preload(1, mk(b+8, a))
-
+	loopCore(c, 0, 0x10000, 0x40000)
 	var events []searchEvent
 	c.SetSearchHook(func(t int, line zarch.Addr) {
 		events = append(events, searchEvent{b0: c.Clock(), line: line})
 	})
-	c.Restart(0, a, 0)
 
 	// Warm up so CPRED entries exist, then capture.
 	warmup := 60

@@ -271,9 +271,6 @@ type truncEvent struct {
 // ID returns the job's table key.
 func (j *Job) ID() string { return j.id }
 
-// Kind returns the job's work type ("simulate", "sweep", "diff").
-func (j *Job) Kind() string { return j.kind }
-
 // SetCancel attaches the context cancel the job's DELETE handler
 // fires. If the job was already canceled before the runner attached
 // it (DELETE racing submission), the cancel fires immediately.

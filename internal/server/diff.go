@@ -2,9 +2,9 @@ package server
 
 import (
 	"context"
-	"errors"
 
 	"zbp/internal/equiv"
+	"zbp/internal/jobs"
 )
 
 // DiffRequest is the POST /v1/diff body: run the differential
@@ -50,46 +50,55 @@ type DiffResponse struct {
 	Divergences int        `json:"divergences"`
 }
 
-// normalizeDiff applies diff defaults in place and validates,
-// returning the resolved seed and the grid size. Shared by the sync
-// handler and async job submission.
-func (s *Server) normalizeDiff(req *DiffRequest) (uint64, int, error) {
+// planDiff applies diff defaults in place and validates the grid. A
+// diff never caches: the harness's whole point is to recompute.
+func (s *Server) planDiff(req *DiffRequest) (plan, error) {
 	seed := uint64(42)
 	if req.Seed != nil {
 		seed = *req.Seed
 	}
 	cells, err := s.normalizeGrid("diff", &req.Configs, req.Workloads, 1, &req.Instructions)
-	if err != nil {
-		return 0, 0, err
+	if err == nil {
+		err = equiv.ValidateChecks(req.Checks)
 	}
-	if err := equiv.ValidateChecks(req.Checks); err != nil {
-		return 0, 0, err
-	}
-	return seed, cells, nil
+	return plan{kind: "diff", cells: cells, timeoutMs: req.TimeoutMs, run: func(ctx context.Context, j *jobs.Job) (any, error) {
+		return s.diff(ctx, *req, seed, cells, j)
+	}}, err
 }
 
 // diff runs the harness through the executor and tallies divergences.
-// A patient caller (a job) waits out a full local queue.
-func (s *Server) diff(ctx context.Context, req DiffRequest, seed uint64, patient bool, onCell func(DiffCell)) (DiffResponse, error) {
-	for {
-		cells, err := s.exec.Diff(ctx, req, seed, onCell)
-		if err == nil {
-			resp := DiffResponse{Cells: cells}
-			for _, c := range cells {
-				if !c.OK {
-					resp.Divergences++
-					s.DiffDivergences.Add(1)
-				}
-			}
-			return resp, nil
-		}
-		if !patient || !errors.Is(err, errQueueFull) {
-			return DiffResponse{}, err
-		}
-		if err := pause(ctx); err != nil {
-			return DiffResponse{}, err
+// A job (non-nil j) waits out a full local queue and publishes one
+// diff_cell event per finished cell of the total.
+func (s *Server) diff(ctx context.Context, req DiffRequest, seed uint64, total int, j *jobs.Job) (DiffResponse, error) {
+	var onCell func(DiffCell)
+	if j != nil {
+		done := 0
+		onCell = func(dc DiffCell) {
+			j.CellDone(false)
+			j.Publish(diffCellEvent{
+				Type: "diff_cell", Index: done, Done: done + 1, Total: total,
+				Config: dc.Config, Workload: dc.Workload, Seed: dc.Seed,
+				Checks: dc.Checks, OK: dc.OK, Findings: len(dc.Findings), Error: dc.Error,
+			})
+			done++
 		}
 	}
+	var cells []DiffCell
+	err := retryFull(ctx, j != nil, func() (err error) {
+		cells, err = s.exec.Diff(ctx, req, seed, onCell)
+		return err
+	})
+	if err != nil {
+		return DiffResponse{}, err
+	}
+	resp := DiffResponse{Cells: cells}
+	for _, c := range cells {
+		if !c.OK {
+			resp.Divergences++
+			s.DiffDivergences.Add(1)
+		}
+	}
+	return resp, nil
 }
 
 // diffCellOf converts one harness cell result to the API shape.

@@ -44,19 +44,6 @@ type JobRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// jobSpec is the validated, default-filled execution plan attached to
-// a job at submission.
-type jobSpec struct {
-	kind     string
-	simulate SimulateRequest
-	sweep    SweepRequest
-	diff     DiffRequest
-	cell     rcache.CellSpec // the simulate kind's cell
-	seed     uint64          // the diff kind's seed
-	cells    int
-	noCache  bool
-}
-
 // CellEvent is the JSONL progress line published after every finished
 // simulate or sweep cell. Backend and Hedged attribute fleet cells; a
 // single box leaves them out.
@@ -103,29 +90,22 @@ type diffCellEvent struct {
 // --- handlers ---------------------------------------------------------
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	s.Requests.Add(1)
 	if s.baseCtx.Err() != nil {
+		s.Requests.Add(1)
 		WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server shutting down"})
 		return
 	}
 	var req JobRequest
-	if !s.Decode(w, r, &req) {
+	p, ok := s.accept(w, r, &req, func() (plan, error) { return s.planJob(&req) })
+	if !ok {
 		return
 	}
-	spec, err := s.planJob(&req)
-	if err != nil {
-		s.Fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if !s.admit(w, spec.cells) {
-		return
-	}
-	j, err := s.jobs.Create(spec.kind, spec.cells)
+	j, err := s.jobs.Create(p.kind, p.cells)
 	if err != nil {
 		// The job never runs, so its admission tokens go back: a client
 		// retrying against a full table must not drain the bucket.
 		if s.bucket != nil {
-			s.bucket.refund(float64(spec.cells))
+			s.bucket.refund(float64(p.cells))
 		}
 		s.reject(w, s.retryAfterSeconds(), "job table full, retry later")
 		return
@@ -139,15 +119,15 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	j.SetCancel(cancel)
 	s.asyncWG.Add(1)
-	go s.runJob(ctx, cancel, j, spec)
+	go s.runJob(ctx, cancel, j, p)
 
 	w.Header().Set("Location", "/v1/jobs/"+j.ID())
 	WriteJSON(w, http.StatusCreated, j.Snapshot())
 }
 
-// planJob validates the request into an executable spec, reusing the
-// same normalization the sync endpoints apply.
-func (s *Server) planJob(req *JobRequest) (jobSpec, error) {
+// planJob validates the one payload through the same plan* function
+// its sync endpoint calls. A kind mismatch wins over a payload error.
+func (s *Server) planJob(req *JobRequest) (plan, error) {
 	set := 0
 	for _, p := range []bool{req.Simulate != nil, req.Sweep != nil, req.Diff != nil} {
 		if p {
@@ -155,28 +135,24 @@ func (s *Server) planJob(req *JobRequest) (jobSpec, error) {
 		}
 	}
 	if set != 1 {
-		return jobSpec{}, fmt.Errorf("need exactly one of simulate/sweep/diff payloads, have %d", set)
+		return plan{}, fmt.Errorf("need exactly one of simulate/sweep/diff payloads, have %d", set)
 	}
-	spec := jobSpec{noCache: req.NoCache, cells: 1}
-	var err error
+	var (
+		p   plan
+		err error
+	)
 	switch {
 	case req.Simulate != nil:
-		spec.kind = "simulate"
-		spec.cell, err = s.normalizeSimulate(req.Simulate)
-		spec.simulate = *req.Simulate
+		p, err = s.planSimulate(req.Simulate, req.NoCache)
 	case req.Sweep != nil:
-		spec.kind = "sweep"
-		spec.cells, err = s.normalizeSweep(req.Sweep)
-		spec.sweep = *req.Sweep
+		p, err = s.planSweep(req.Sweep, req.NoCache)
 	default:
-		spec.kind = "diff"
-		spec.seed, spec.cells, err = s.normalizeDiff(req.Diff)
-		spec.diff = *req.Diff
+		p, err = s.planDiff(req.Diff)
 	}
-	if req.Kind != "" && req.Kind != spec.kind {
-		return jobSpec{}, fmt.Errorf("kind %q does not match the %s payload", req.Kind, spec.kind)
+	if req.Kind != "" && req.Kind != p.kind {
+		return plan{}, fmt.Errorf("kind %q does not match the %s payload", req.Kind, p.kind)
 	}
-	return spec, err
+	return p, err
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -263,23 +239,17 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 // runJob drives one job to a terminal state. A job is running from
 // submission; its cells then wait for executor capacity.
-func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *jobs.Job, spec jobSpec) {
+func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *jobs.Job, p plan) {
 	defer s.asyncWG.Done()
 	defer cancel()
 	if !j.Start(s.role.Now()) {
 		return
 	}
-	var (
-		result []byte
-		err    error
-	)
-	switch spec.kind {
-	case "simulate":
-		result, err = s.runSimulateJob(ctx, j, spec)
-	case "sweep":
-		result, err = s.runSweepJob(ctx, j, spec)
-	default:
-		result, err = s.runDiffJob(ctx, j, spec)
+	resp, err := p.run(ctx, j)
+	var result []byte
+	if err == nil {
+		// Compact marshal: the job result bytes are the same on every role.
+		result, err = json.Marshal(resp)
 	}
 	s.finishJob(j, result, err)
 }
@@ -304,78 +274,43 @@ func (s *Server) finishJob(j *jobs.Job, result []byte, err error) {
 	}
 }
 
-func (s *Server) runSimulateJob(ctx context.Context, j *jobs.Job, spec jobSpec) ([]byte, error) {
-	resp, err := s.simulate(ctx, spec.simulate, spec.cell, spec.noCache, j)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(resp)
-}
-
-func (s *Server) runSweepJob(ctx context.Context, j *jobs.Job, spec jobSpec) ([]byte, error) {
-	resp, err := s.runGrid(ctx, spec.sweep, spec.noCache, true, func(ev CellEvent) {
-		if ev.Error == "" {
-			j.CellDone(ev.Cached)
-		}
-		j.Publish(ev)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Compact marshal: the job result bytes are the same on every role.
-	return json.Marshal(resp)
-}
-
-func (s *Server) runDiffJob(ctx context.Context, j *jobs.Job, spec jobSpec) ([]byte, error) {
-	i := 0
-	resp, err := s.diff(ctx, spec.diff, spec.seed, true, func(dc DiffCell) {
-		j.CellDone(false)
-		j.Publish(diffCellEvent{
-			Type: "diff_cell", Index: i, Done: i + 1, Total: spec.cells,
-			Config: dc.Config, Workload: dc.Workload, Seed: dc.Seed,
-			Checks: dc.Checks, OK: dc.OK, Findings: len(dc.Findings), Error: dc.Error,
-		})
-		i++
-	})
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(resp)
-}
-
 // --- cells and grids --------------------------------------------------
 
 // execCell resolves one cell through the result cache and counts it. A
 // patient caller (a job) waits out a full local queue; a sync request
 // answers it with 429.
 func (s *Server) execCell(ctx context.Context, cell rcache.CellSpec, noCache, patient bool) (Outcome, error) {
-	for {
-		out, err := s.cache.Exec(ctx, cell, noCache)
-		if err == nil {
-			s.Cells.Add(1)
-			if out.Cached {
-				s.CellsCached.Add(1)
-			}
-			return out, nil
-		}
-		if !patient || !errors.Is(err, errQueueFull) {
-			return Outcome{}, err
-		}
-		if err := pause(ctx); err != nil {
-			return Outcome{}, err
-		}
+	var out Outcome
+	err := retryFull(ctx, patient, func() (err error) {
+		out, err = s.cache.Exec(ctx, cell, noCache)
+		return err
+	})
+	if err != nil {
+		return Outcome{}, err
 	}
+	s.Cells.Add(1)
+	if out.Cached {
+		s.CellsCached.Add(1)
+	}
+	return out, nil
 }
 
-// pause is a job's short backoff before retrying a full queue.
-func pause(ctx context.Context) error {
-	t := time.NewTimer(25 * time.Millisecond)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
+// retryFull runs try until it returns anything but a full local queue.
+// Only a patient caller retries, after a short backoff: a job's client
+// already holds an ID, while a sync request answers the full queue 429.
+func retryFull(ctx context.Context, patient bool, try func() error) error {
+	for {
+		err := try()
+		if !patient || !errors.Is(err, errQueueFull) {
+			return err
+		}
+		t := time.NewTimer(25 * time.Millisecond)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return ctx.Err()
+		case <-t.C:
+		}
 	}
 }
 
@@ -431,8 +366,9 @@ func (s *Server) cellEvent(cell rcache.CellSpec, out Outcome, sum CellSummary) C
 // canonical stats through Summarize, so the response marshals the same
 // bytes on every role. A failed cell is its row's error; the grid as a
 // whole fails only when ctx dies or the local queue refuses a sync
-// request. onCell calls are serialized, with Done increasing.
-func (s *Server) runGrid(ctx context.Context, req SweepRequest, noCache, patient bool, onCell func(CellEvent)) (SweepResponse, error) {
+// request. A job (non-nil j) waits out a full local queue and publishes
+// one cell event per finished cell, serialized, with Done increasing.
+func (s *Server) runGrid(ctx context.Context, req SweepRequest, noCache bool, j *jobs.Job) (SweepResponse, error) {
 	var cells []rcache.CellSpec
 	for _, config := range req.Configs {
 		for _, wl := range req.Workloads {
@@ -446,7 +382,7 @@ func (s *Server) runGrid(ctx context.Context, req SweepRequest, noCache, patient
 	rows := make([]SweepCell, len(cells))
 	var (
 		next atomic.Int64
-		mu   sync.Mutex // serializes onCell and guards done and stop
+		mu   sync.Mutex // serializes events and guards done and stop
 		done int
 		stop error
 	)
@@ -454,15 +390,18 @@ func (s *Server) runGrid(ctx context.Context, req SweepRequest, noCache, patient
 		for i := int(next.Add(1) - 1); i < len(cells); i = int(next.Add(1) - 1) {
 			var ev CellEvent
 			var err error
-			rows[i], ev, err = s.gridCell(ctx, cells[i], noCache, patient)
+			rows[i], ev, err = s.gridCell(ctx, cells[i], noCache, j != nil)
 			mu.Lock()
 			if stop == nil {
 				stop = err
 			}
-			if stop == nil && onCell != nil {
+			if stop == nil && j != nil {
 				done++
 				ev.Index, ev.Done, ev.Total = i, done, len(cells)
-				onCell(ev)
+				if ev.Error == "" {
+					j.CellDone(ev.Cached)
+				}
+				j.Publish(ev)
 			}
 			halt := stop != nil
 			mu.Unlock()

@@ -668,3 +668,84 @@ func TestJobNoCacheBypass(t *testing.T) {
 			s.cache.Misses(), s.cache.Puts(), s.cache.Len())
 	}
 }
+
+// TestJobResultIsSyncReply: a job's result is the compact form of the
+// sync reply to the same payload, for every job kind.
+func TestJobResultIsSyncReply(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	sim := &SimulateRequest{Workload: "loops", Workload2: "micro", Instructions: 10_000, FullStats: true}
+	sweep := &SweepRequest{
+		Configs: []string{"z14", "z15"}, Workloads: []string{"loops", "micro"},
+		Seeds: []uint64{1, 2}, Instructions: 5_000,
+	}
+	diff := &DiffRequest{Workloads: []string{"loops", "callret"}, Instructions: 3_000}
+	for _, tc := range []struct {
+		route   string
+		payload any
+		job     JobRequest
+	}{
+		{"/v1/simulate", sim, JobRequest{Simulate: sim}},
+		{"/v1/sweep", sweep, JobRequest{Sweep: sweep}},
+		{"/v1/diff", diff, JobRequest{Diff: diff}},
+	} {
+		done := waitJob(t, ts, submitJob(t, ts, tc.job).ID, jobs.Done)
+		resp, body := postJSON(t, ts.URL+tc.route, tc.payload)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: sync status %d: %s", tc.route, resp.StatusCode, body)
+		}
+		if got, want := compact(t, done.Result), compact(t, body); got != want {
+			t.Errorf("%s: job result\n%s\nis not the sync reply\n%s", tc.route, got, want)
+		}
+	}
+}
+
+// TestJobWaitsOutFullQueue: sweep and diff jobs submitted against a
+// saturated local queue back off rather than fail, and finish every
+// cell once the queue frees up.
+func TestJobWaitsOutFullQueue(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+
+	// One blocker occupies the worker, one fills the single queue slot.
+	// A failed assertion still frees them, or Close would wait forever.
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = loc(s).q.submitWait(context.Background(), func(context.Context) { <-release })
+		}()
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		return loc(s).q.depth() == 1
+	}, func() string { return fmt.Sprintf("queue depth %d", loc(s).q.depth()) })
+
+	ids := []string{
+		submitJob(t, ts, JobRequest{Sweep: &SweepRequest{
+			Workloads: []string{"loops"}, Seeds: []uint64{1, 2}, Instructions: 5_000,
+		}}).ID,
+		submitJob(t, ts, JobRequest{Diff: &DiffRequest{
+			Workloads: []string{"loops"}, Instructions: 3_000,
+		}}).ID,
+	}
+	// A cache miss means the sweep's first cell reached the full queue.
+	waitFor(t, 5*time.Second, func() bool { return s.Cache().Misses() >= 1 },
+		func() string { return "the sweep never tried its first cell" })
+	for _, id := range ids {
+		if _, st := getJob(t, ts, id); st.Progress.CellsDone != 0 || st.State.Terminal() {
+			t.Fatalf("job %s finished work against a full queue: %+v", id, st)
+		}
+	}
+
+	free()
+	wg.Wait()
+	for _, id := range ids {
+		done := waitJob(t, ts, id, jobs.Done)
+		if p := done.Progress; p.CellsDone != p.CellsTotal {
+			t.Errorf("job %s finished %d of %d cells", id, p.CellsDone, p.CellsTotal)
+		}
+	}
+}

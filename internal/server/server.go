@@ -474,27 +474,48 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// --- sync handlers ----------------------------------------------------
+// --- plans and sync handlers ------------------------------------------
 
-// serveSync is the shape of every sync route: decode, validate (plan
-// returns the grid size and the request's timeout), admit, run under
-// the request deadline, reply.
-func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, req any, plan func() (cells, timeoutMs int, err error), run func(ctx context.Context) (any, error)) {
+// plan is one validated request: the job kind it runs as ("" for
+// /v1/cell), the cells it charges the admission bucket, its sync
+// deadline and the run that resolves it. A sync request runs
+// run(ctx, nil); a job runs run(ctx, j), and a non-nil j is the one
+// sign that the caller publishes events and waits out a full local
+// queue.
+type plan struct {
+	kind      string
+	cells     int
+	timeoutMs int
+	run       func(ctx context.Context, j *jobs.Job) (any, error)
+}
+
+// accept is the front door of every route that runs cells: it counts
+// the request, decodes the body into req (400/413), builds the plan
+// (400) and charges admission (429). It reports false once it has
+// answered.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, req any, build func() (plan, error)) (plan, bool) {
 	s.Requests.Add(1)
 	if !s.Decode(w, r, req) {
-		return
+		return plan{}, false
 	}
-	cells, timeoutMs, err := plan()
+	p, err := build()
 	if err != nil {
 		s.Fail(w, http.StatusBadRequest, err)
+		return plan{}, false
+	}
+	return p, s.admit(w, p.cells)
+}
+
+// serveSync is the shape of every sync route: accept, run the plan
+// under the request deadline, reply.
+func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, req any, build func() (plan, error)) {
+	p, ok := s.accept(w, r, req, build)
+	if !ok {
 		return
 	}
-	if !s.admit(w, cells) {
-		return
-	}
-	ctx, cancel := s.requestContext(r, timeoutMs)
+	ctx, cancel := s.requestContext(r, p.timeoutMs)
 	defer cancel()
-	resp, err := run(ctx)
+	resp, err := p.run(ctx, nil)
 	if err != nil {
 		s.replyError(w, err)
 		return
@@ -504,55 +525,52 @@ func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, req any, plan
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var (
-		req  SimulateRequest
-		cell rcache.CellSpec
-	)
-	s.serveSync(w, r, &req, func() (_, _ int, err error) {
-		cell, err = s.normalizeSimulate(&req)
-		return 1, req.TimeoutMs, err
-	}, func(ctx context.Context) (any, error) {
-		return s.simulate(ctx, req, cell, false, nil)
-	})
+	var req SimulateRequest
+	s.serveSync(w, r, &req, func() (plan, error) { return s.planSimulate(&req, false) })
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	s.serveSync(w, r, &req, func() (int, int, error) {
-		cells, err := s.normalizeSweep(&req)
-		return cells, req.TimeoutMs, err
-	}, func(ctx context.Context) (any, error) {
-		return s.runGrid(ctx, req, false, false, nil)
-	})
+	s.serveSync(w, r, &req, func() (plan, error) { return s.planSweep(&req, false) })
+}
+
+func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
+	var req DiffRequest
+	s.serveSync(w, r, &req, func() (plan, error) { return s.planDiff(&req) })
 }
 
 // handleCell is one decode plus one Exec: a cache hit never takes a
 // queue slot.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
-	var (
-		req  CellRequest
-		cell rcache.CellSpec
-	)
-	s.serveSync(w, r, &req, func() (_, _ int, err error) {
-		cell, err = s.normalizeSimulate(&req.SimulateRequest)
-		return 1, req.TimeoutMs, err
-	}, func(ctx context.Context) (any, error) {
-		out, err := s.execCell(ctx, cell, req.NoCache, false)
-		return CellResponse{Cached: out.Cached, Stats: out.Stats}, err
+	var req CellRequest
+	s.serveSync(w, r, &req, func() (plan, error) {
+		cell, err := s.normalizeSimulate(&req.SimulateRequest)
+		return plan{cells: 1, timeoutMs: req.TimeoutMs, run: func(ctx context.Context, _ *jobs.Job) (any, error) {
+			out, err := s.execCell(ctx, cell, req.NoCache, false)
+			return CellResponse{Cached: out.Cached, Stats: out.Stats}, err
+		}}, err
 	})
 }
 
-func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	var (
-		req  DiffRequest
-		seed uint64
-	)
-	s.serveSync(w, r, &req, func() (cells, _ int, err error) {
-		seed, cells, err = s.normalizeDiff(&req)
-		return cells, req.TimeoutMs, err
-	}, func(ctx context.Context) (any, error) {
-		return s.diff(ctx, req, seed, false, nil)
-	})
+// planSimulate validates a simulate request into its plan. Like every
+// plan* function it returns the kind even when validation fails, so a
+// job's kind check can still win.
+func (s *Server) planSimulate(req *SimulateRequest, noCache bool) (plan, error) {
+	cell, err := s.normalizeSimulate(req)
+	return plan{kind: "simulate", cells: 1, timeoutMs: req.TimeoutMs, run: func(ctx context.Context, j *jobs.Job) (any, error) {
+		return s.simulate(ctx, *req, cell, noCache, j)
+	}}, err
+}
+
+// planSweep applies sweep defaults in place and validates the grid.
+func (s *Server) planSweep(req *SweepRequest, noCache bool) (plan, error) {
+	if len(req.Seeds) == 0 {
+		req.Seeds = []uint64{42}
+	}
+	cells, err := s.normalizeGrid("sweep", &req.Configs, req.Workloads, len(req.Seeds), &req.Instructions)
+	return plan{kind: "sweep", cells: cells, timeoutMs: req.TimeoutMs, run: func(ctx context.Context, j *jobs.Job) (any, error) {
+		return s.runGrid(ctx, *req, noCache, j)
+	}}, err
 }
 
 // Health is the single box's GET /healthz body: liveness plus the load
@@ -573,8 +591,7 @@ type Health struct {
 
 // normalizeSimulate applies request defaults in place and validates
 // against the limits, returning the cell the request names. Shared by
-// simulate, /v1/cell and simulate jobs, so all accept exactly the same
-// requests.
+// planSimulate and /v1/cell, so both accept exactly the same requests.
 func (s *Server) normalizeSimulate(req *SimulateRequest) (rcache.CellSpec, error) {
 	if req.Config == "" {
 		req.Config = "z15"
@@ -599,15 +616,6 @@ func (s *Server) normalizeSimulate(req *SimulateRequest) (rcache.CellSpec, error
 		Config: req.Config, Workload: req.Workload, Workload2: req.Workload2,
 		Seed: seed, Instructions: req.Instructions,
 	}, nil
-}
-
-// normalizeSweep applies sweep defaults in place and validates,
-// returning the grid size.
-func (s *Server) normalizeSweep(req *SweepRequest) (int, error) {
-	if len(req.Seeds) == 0 {
-		req.Seeds = []uint64{42}
-	}
-	return s.normalizeGrid("sweep", &req.Configs, req.Workloads, len(req.Seeds), &req.Instructions)
 }
 
 // normalizeGrid fills the defaults of a configs x workloads x seeds

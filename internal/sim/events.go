@@ -67,48 +67,6 @@ type EventSink interface {
 	Emit(Event)
 }
 
-// RingSink retains the most recent capacity events in a ring: the
-// "flight recorder" used to inspect the window leading up to a
-// condition of interest without paying for full-run logging.
-type RingSink struct {
-	buf   []Event
-	next  int
-	total int64
-}
-
-// NewRingSink returns a ring retaining the last capacity events.
-func NewRingSink(capacity int) *RingSink {
-	if capacity <= 0 {
-		panic("sim: RingSink capacity must be positive")
-	}
-	return &RingSink{buf: make([]Event, 0, capacity)}
-}
-
-// Emit implements EventSink. It never allocates once the ring is full.
-func (s *RingSink) Emit(e Event) {
-	s.total++
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, e)
-		return
-	}
-	s.buf[s.next] = e
-	s.next++
-	if s.next == len(s.buf) {
-		s.next = 0
-	}
-}
-
-// Total returns the number of events observed (including overwritten).
-func (s *RingSink) Total() int64 { return s.total }
-
-// Events returns the retained events, oldest first.
-func (s *RingSink) Events() []Event {
-	out := make([]Event, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
-	return out
-}
-
 // JSONLSink streams every event as one JSON object per line. The
 // encoding is hand-rolled with a fixed field order (and omits fields
 // that are zero for the kind), so logs are deterministic and cheap:

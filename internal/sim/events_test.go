@@ -8,48 +8,6 @@ import (
 	"testing"
 )
 
-func TestRingSinkWraparound(t *testing.T) {
-	s := NewRingSink(4)
-	if got := s.Events(); len(got) != 0 {
-		t.Fatalf("empty ring returned %d events", len(got))
-	}
-	for i := int64(0); i < 10; i++ {
-		s.Emit(Event{Cycle: i, Kind: EvPredict})
-	}
-	if s.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", s.Total())
-	}
-	got := s.Events()
-	if len(got) != 4 {
-		t.Fatalf("retained %d events, want 4", len(got))
-	}
-	for i, e := range got {
-		if want := int64(6 + i); e.Cycle != want {
-			t.Fatalf("event %d has cycle %d, want %d (oldest-first)", i, e.Cycle, want)
-		}
-	}
-}
-
-func TestRingSinkPartialFill(t *testing.T) {
-	s := NewRingSink(8)
-	for i := int64(0); i < 3; i++ {
-		s.Emit(Event{Cycle: i})
-	}
-	got := s.Events()
-	if len(got) != 3 || got[0].Cycle != 0 || got[2].Cycle != 2 {
-		t.Fatalf("partial ring wrong: %+v", got)
-	}
-}
-
-func TestRingSinkPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for capacity 0")
-		}
-	}()
-	NewRingSink(0)
-}
-
 func TestJSONLSinkOutput(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONLSink(&buf)

@@ -25,6 +25,11 @@ func statsOf(t *testing.T, s *sim.Sim) []byte {
 	return js
 }
 
+// sliceSink keeps every event it is sent.
+type sliceSink []sim.Event
+
+func (s *sliceSink) Emit(e sim.Event) { *s = append(*s, e) }
+
 // TestEventSinkToggle sweeps a small config x workload grid twice per
 // cell — with no sink and with an attached EventSink — and requires
 // byte-identical stats JSON from both. Attaching observability must
@@ -52,13 +57,13 @@ func TestEventSinkToggle(t *testing.T) {
 				plainJS := statsOf(t, mk())
 
 				sunk := mk()
-				ring := sim.NewRingSink(64)
-				sunk.SetEventSink(ring)
+				var sink sliceSink
+				sunk.SetEventSink(&sink)
 				sunkJS := statsOf(t, sunk)
 				if string(plainJS) != string(sunkJS) {
 					t.Error("attaching an EventSink changed the stats JSON")
 				}
-				if ring.Total() == 0 {
+				if len(sink) == 0 {
 					t.Error("attached sink observed no events")
 				}
 			})
@@ -86,13 +91,13 @@ func TestFastCoreSMT2(t *testing.T) {
 
 	plainJS := statsOf(t, mk())
 	sunk := mk()
-	ring := sim.NewRingSink(1 << 16)
-	sunk.SetEventSink(ring)
+	var sink sliceSink
+	sunk.SetEventSink(&sink)
 	if string(plainJS) != string(statsOf(t, sunk)) {
 		t.Error("attaching an EventSink changed the SMT2 stats JSON")
 	}
 	var seen [2]bool
-	for _, e := range ring.Events() {
+	for _, e := range sink {
 		if e.Thread == 0 || e.Thread == 1 {
 			seen[e.Thread] = true
 		}
