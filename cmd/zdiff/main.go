@@ -1,9 +1,9 @@
 // Command zdiff runs the differential equivalence harness
 // (internal/equiv) over a grid of (config, workload) cells: every cell
 // is executed along multiple paths that must agree exactly (packed vs
-// streaming, pooled vs direct, cancellable vs plain run loop, event-log
-// replay) plus metamorphic invariants, and any divergence is reported
-// with the cell and the first diverging metric.
+// streaming, pooled vs direct, a background vs a cancellable context,
+// event-log replay) plus metamorphic invariants, and any divergence is
+// reported with the cell and the first diverging metric.
 //
 // Usage:
 //
@@ -72,7 +72,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cells := equiv.Grid(configs, workloads, *seed, *scale)
+	cells := equiv.Grid(configs, workloads, []uint64{*seed}, *scale)
 	fmt.Printf("checking %d cells (%d configs x %d workloads, %d instructions each)...\n",
 		len(cells), len(configs), len(workloads), *scale)
 	start := time.Now()

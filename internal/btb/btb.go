@@ -129,9 +129,9 @@ type Hit struct {
 	Info
 	Way int
 	// Aliased reports that the reconstructed address differs from the
-	// installed one (partial-tag collision). Only the verification
-	// harness looks at this; the predictor must treat aliased hits as
-	// real, as the hardware does.
+	// installed one (partial-tag collision). The predictor ignores it
+	// and treats aliased hits as real, as the hardware does; the
+	// AliasedHits counter carries the same event into the stats.
 	Aliased bool
 }
 
@@ -241,9 +241,6 @@ func New(geo Geometry) *Table {
 	}
 	return t
 }
-
-// Geometry returns the table geometry.
-func (t *Table) Geometry() Geometry { return t.geo }
 
 // Stats returns a copy of the event counters.
 func (t *Table) Stats() Stats { return t.stats }

@@ -19,7 +19,6 @@ type Preload struct {
 	// leave it behind, so readers also check the entry's valid bit.
 	addrs []zarch.Addr
 	tick  uint64
-	stats PreloadStats
 	// searchBuf is the reusable SearchLine result buffer (searched
 	// every cycle on pre-z15 configurations).
 	searchBuf []Info
@@ -31,13 +30,6 @@ type pentry struct {
 	stamp uint64
 }
 
-// PreloadStats counts BTBP events.
-type PreloadStats struct {
-	Installs int64
-	Hits     int64
-	Promotes int64
-}
-
 // NewPreload returns a BTBP with the given capacity.
 func NewPreload(capacity int) *Preload {
 	if capacity <= 0 {
@@ -46,14 +38,10 @@ func NewPreload(capacity int) *Preload {
 	return &Preload{entries: make([]pentry, capacity), addrs: make([]zarch.Addr, capacity)}
 }
 
-// Stats returns a copy of the counters.
-func (p *Preload) Stats() PreloadStats { return p.stats }
-
 // Install writes info, replacing a same-address entry or the LRU one.
 // The displaced victim, if any, is returned: in the semi-exclusive
 // pre-z15 designs, BTBP victims flow onward into the BTB2.
 func (p *Preload) Install(info Info) (victim Info, evicted bool) {
-	p.stats.Installs++
 	p.tick++
 	lru := 0
 	for i := range p.entries {
@@ -97,9 +85,6 @@ func (p *Preload) SearchLine(line zarch.Addr, lineBytes int) []Info {
 			}
 		}
 	}
-	if len(out) > 0 {
-		p.stats.Hits++
-	}
 	p.searchBuf = out
 	return out
 }
@@ -122,7 +107,6 @@ func (p *Preload) Promote(addr zarch.Addr) (Info, bool) {
 		return Info{}, false
 	}
 	p.entries[i].valid = false
-	p.stats.Promotes++
 	return p.entries[i].info, true
 }
 
@@ -156,7 +140,6 @@ type Stage struct {
 	buf      []Info
 	capacity int
 	drops    int64
-	peak     int
 }
 
 // NewStage returns a staging queue with the given capacity.
@@ -174,9 +157,6 @@ func (s *Stage) Push(info Info) {
 		return
 	}
 	s.buf = append(s.buf, info)
-	if len(s.buf) > s.peak {
-		s.peak = len(s.buf)
-	}
 }
 
 // Pop dequeues the oldest entry.
@@ -207,6 +187,3 @@ func (s *Stage) Len() int { return len(s.buf) }
 
 // Drops returns how many transfers were lost to a full queue.
 func (s *Stage) Drops() int64 { return s.drops }
-
-// Peak returns the maximum depth observed.
-func (s *Stage) Peak() int { return s.peak }

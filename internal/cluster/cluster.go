@@ -82,12 +82,6 @@ type Config struct {
 	// AdmitBurst is the bucket capacity. Default: 1024.
 	AdmitBurst int
 
-	// HealthInterval is the /healthz polling period. Default: 250ms.
-	HealthInterval time.Duration
-	// HealthFailures is how many consecutive probe or transport
-	// failures mark a backend unhealthy. Default: 3.
-	HealthFailures int
-
 	// Coordinator-side result cache: winning canonical stats bytes are
 	// stored under the same rcache content address the routing key
 	// uses, so a repeat sweep is answered with zero backend
@@ -104,7 +98,6 @@ type Config struct {
 
 	// Request surface limits, mirroring the single-box service: zero
 	// takes server.Config's default, except MaxSweepCells.
-	MaxBodyBytes        int64
 	MaxSweepCells       int // default 16384: fleets exist for big grids
 	MaxInstructions     int
 	DefaultInstructions int
@@ -113,6 +106,12 @@ type Config struct {
 	MaxJobs             int
 	JobTTL              time.Duration
 
+	// healthInterval is the /healthz polling period (250ms by
+	// default), and healthFailures how many consecutive probe or
+	// transport failures mark a backend unhealthy (3 by default);
+	// tests shorten both.
+	healthInterval time.Duration
+	healthFailures int
 	// now supplies the clock for the job table and admission bucket;
 	// tests inject a fake.
 	now func() time.Time
@@ -140,11 +139,11 @@ func (c Config) withDefaults() Config {
 	if c.AdmitBurst <= 0 {
 		c.AdmitBurst = 1024
 	}
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = 250 * time.Millisecond
+	if c.healthInterval <= 0 {
+		c.healthInterval = 250 * time.Millisecond
 	}
-	if c.HealthFailures <= 0 {
-		c.HealthFailures = 3
+	if c.healthFailures <= 0 {
+		c.healthFailures = 3
 	}
 	if c.MaxSweepCells <= 0 {
 		c.MaxSweepCells = 16384
@@ -217,7 +216,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c.baseCtx, c.baseCancel = context.WithCancel(context.Background())
 	var err error
 	c.Server, err = server.NewFrontend(server.Config{
-		MaxBodyBytes:        c.cfg.MaxBodyBytes,
 		MaxInstructions:     c.cfg.MaxInstructions,
 		DefaultInstructions: c.cfg.DefaultInstructions,
 		MaxSweepCells:       c.cfg.MaxSweepCells,
@@ -465,7 +463,7 @@ func (c *Coordinator) order(members []*backend, spec rcache.CellSpec) []*backend
 // any) first so joins and leaves land within one probe interval.
 func (c *Coordinator) probeLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.HealthInterval)
+	t := time.NewTicker(c.cfg.healthInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -489,7 +487,7 @@ func (c *Coordinator) probeLoop() {
 func (c *Coordinator) probe(b *backend) {
 	// The timeout is floored well above the probe interval: a sluggish
 	// scrape is load, not death — dead backends fail fast on dial.
-	timeout := 4 * c.cfg.HealthInterval
+	timeout := 4 * c.cfg.healthInterval
 	if timeout < time.Second {
 		timeout = time.Second
 	}
@@ -508,7 +506,7 @@ func (c *Coordinator) probe(b *backend) {
 // dispatch error; enough in a row flips the backend unhealthy and
 // routes new cells away from it.
 func (c *Coordinator) noteBackendFailure(b *backend) {
-	if int(b.consecFails.Add(1)) >= c.cfg.HealthFailures {
+	if int(b.consecFails.Add(1)) >= c.cfg.healthFailures {
 		if b.healthy.CompareAndSwap(true, false) {
 			c.backendUnhealthy.Add(1)
 			log.Printf("cluster: backend %s marked unhealthy", b.name)

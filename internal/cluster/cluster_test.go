@@ -47,7 +47,7 @@ func newFleet(t *testing.T, n int, mut func(*Config)) *fleet {
 	}
 	cfg := Config{
 		Backends:       urls,
-		HealthInterval: 20 * time.Millisecond,
+		healthInterval: 20 * time.Millisecond,
 		CellTimeout:    10 * time.Second,
 	}
 	if mut != nil {
@@ -230,7 +230,7 @@ func TestBackendDeathMidSweep(t *testing.T) {
 	want := singleBoxSweep(t, grid)
 
 	f := newFleet(t, 3, func(c *Config) {
-		c.HealthFailures = 1
+		c.healthFailures = 1
 		c.MaxAttempts = 6
 	})
 	id := submitJob(t, f.url, server.JobRequest{Sweep: &grid})

@@ -53,7 +53,7 @@ func mixedFleet(t *testing.T, mut func(*Config), fakes ...*httptest.Server) *fle
 	}
 	cfg := Config{
 		Backends:       urls,
-		HealthInterval: 20 * time.Millisecond,
+		healthInterval: 20 * time.Millisecond,
 		CellTimeout:    5 * time.Second,
 		HedgeDelay:     25 * time.Millisecond,
 		MaxAttempts:    6,
@@ -186,8 +186,8 @@ func TestCallerDeadlineDoesNotDentHealth(t *testing.T) {
 	})
 	cfg := Config{
 		Backends:       []string{slow.URL},
-		HealthInterval: 20 * time.Millisecond,
-		HealthFailures: 1,                // one unfair dent is enough to flip
+		healthInterval: 20 * time.Millisecond,
+		healthFailures: 1,                // one unfair dent is enough to flip
 		CellTimeout:    10 * time.Second, // the attempt's own budget is generous
 		HedgeDelay:     -1,
 		MaxAttempts:    1,
@@ -245,7 +245,7 @@ func TestDeadBackendMarkedUnhealthy(t *testing.T) {
 	dead.CloseClientConnections()
 	dead.Close() // refuses all future dials
 
-	f := mixedFleet(t, func(c *Config) { c.HealthFailures = 2 }, dead)
+	f := mixedFleet(t, func(c *Config) { c.healthFailures = 2 }, dead)
 
 	st := sweepJobDone(t, f.url, server.SweepRequest{
 		Workloads: []string{"loops"}, Seeds: []uint64{1, 2, 3, 4}, Instructions: 20_000,

@@ -284,7 +284,7 @@ func TestBackendsFileReload(t *testing.T) {
 
 	coord, err := New(Config{
 		BackendsFile:   path,
-		HealthInterval: 20 * time.Millisecond,
+		healthInterval: 20 * time.Millisecond,
 		CellTimeout:    10 * time.Second,
 		HedgeDelay:     -1,
 	})

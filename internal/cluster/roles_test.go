@@ -87,7 +87,7 @@ func TestOversizeGridAdmitted(t *testing.T) {
 func TestCrossRoleByteIdentity(t *testing.T) {
 	single := newBackendServer(t)
 	fleet := newFleet(t, 2, nil)
-	outer, err := New(Config{Backends: []string{fleet.url}, HealthInterval: 20 * time.Millisecond})
+	outer, err := New(Config{Backends: []string{fleet.url}, healthInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,6 @@ type Surprise struct {
 	Kind   zarch.BranchKind
 	Taken  bool
 	Target zarch.Addr
-	Ctx    uint16
 	// StreamEntry is the BTB1 branch whose target-stream contained this
 	// surprise (zero/false if the stream began at a restart). Used to
 	// shrink a stale SKOOT skip that hid the branch (§IV).

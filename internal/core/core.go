@@ -274,9 +274,6 @@ func (c *Core) TgtStats() tgt.Stats { return c.tgt.Stats() }
 // CPredStats returns column-predictor counters.
 func (c *Core) CPredStats() cpred.Stats { return c.cpred.Stats() }
 
-// StageDrops returns staging-queue overflow drops.
-func (c *Core) StageDrops() int64 { return c.stage.Drops() }
-
 // Restart redirects a thread's search to addr in address space ctx:
 // the post-flush resynchronization point of the asynchronous predictor
 // (§IV). All queued and in-flight predictions for the thread die, the

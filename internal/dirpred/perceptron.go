@@ -111,7 +111,6 @@ func (p *Perceptron) gpvBitFor(e *percEntry, g history.GPV, i int) bool {
 type PercResult struct {
 	Hit    bool
 	Taken  bool
-	Sum    int
 	Useful bool // usefulness above the provider threshold
 }
 
@@ -132,7 +131,6 @@ func (p *Perceptron) Lookup(addr zarch.Addr, g history.GPV) PercResult {
 	return PercResult{
 		Hit:    true,
 		Taken:  sum >= 0,
-		Sum:    sum,
 		Useful: e.useful.Get() >= p.cfg.ProviderThreshold,
 	}
 }

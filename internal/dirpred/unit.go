@@ -144,12 +144,11 @@ type Input struct {
 // Selection is the outcome of figure 8, carried in the GPQ until
 // completion; it snapshots everything the update logic needs.
 type Selection struct {
-	Addr          zarch.Addr
-	Way           int
-	GPV           history.GPV
-	Seq           uint64
-	Conditional   bool
-	Bidirectional bool
+	Addr        zarch.Addr
+	Way         int
+	GPV         history.GPV
+	Seq         uint64
+	Conditional bool
 
 	Taken    bool
 	Provider Provider
@@ -186,7 +185,7 @@ func (u *Unit) Select(in Input) Selection {
 	}
 	sel := Selection{
 		Addr: in.Addr, Way: in.Way, GPV: in.GPV, Seq: in.Seq,
-		Conditional: in.Conditional, Bidirectional: in.Bidirectional,
+		Conditional: in.Conditional,
 	}
 	if !in.Conditional {
 		sel.Taken = true
@@ -297,7 +296,7 @@ func (u *Unit) Select(in Input) Selection {
 
 // Resolve applies the completion-time updates for a conditional branch
 // prediction (usefulness, counters, installs, speculative cleanup).
-// The caller owns the BTB1 BHT write-back; NewBHT computes it.
+// The caller owns the BTB1 BHT write-back (sat.Counter2.Update).
 func (u *Unit) Resolve(sel Selection, taken bool) {
 	u.sbht.Complete(sel.Seq)
 	u.spht.Complete(sel.Seq)
@@ -429,11 +428,6 @@ func (u *Unit) installPHT(sel Selection, taken bool) {
 		u.stats.PHTInstalls++
 	}
 }
-
-// NewBHT returns the completion-time BHT write-back value for a
-// conditional branch (§IV/§V): the 2-bit counter moves toward the
-// resolved direction.
-func NewBHT(old sat.Counter2, taken bool) sat.Counter2 { return old.Update(taken) }
 
 // Flush discards speculative SBHT/SPHT entries installed by
 // instances at or after seq (wrong-path cleanup).

@@ -307,12 +307,6 @@ func TestProviderString(t *testing.T) {
 	}
 }
 
-func TestNewBHT(t *testing.T) {
-	if NewBHT(sat.WeakT, true) != sat.StrongT || NewBHT(sat.WeakT, false) != sat.WeakNT {
-		t.Error("NewBHT wrong")
-	}
-}
-
 func TestSpecDirCapacityAndFlush(t *testing.T) {
 	s := NewSpecDir(2)
 	s.Install(0x100, true, 1)

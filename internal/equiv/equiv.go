@@ -3,11 +3,11 @@
 // crosschecking methodology: instead of trusting any single execution
 // path, the same (config, workload, seed, budget) cell is pushed
 // through pairs of paths that must agree exactly — packed replay vs
-// streaming generation, pooled vs direct execution, cancellable vs
-// plain run loop, event-log reconstruction (a run with an EventSink
-// attached) vs counter aggregation — plus metamorphic invariants
-// (capacity monotonicity, prefix bounds, SMT2 aggregation sanity) that
-// need not be exact but bound how results may move.
+// streaming generation, pooled vs direct execution, a background vs a
+// cancellable (never-firing) context, event-log reconstruction (a run
+// with an EventSink attached) vs counter aggregation — plus metamorphic
+// invariants (capacity monotonicity, prefix bounds, SMT2 aggregation
+// sanity) that need not be exact but bound how results may move.
 //
 // Every perf PR runs this harness (cmd/zdiff, `make diff-smoke`)
 // before it lands: the map-order nondeterminism in icache.Tick and the
@@ -21,31 +21,12 @@ import (
 	"slices"
 
 	"zbp/internal/core"
+	"zbp/internal/rcache"
 	"zbp/internal/sim"
 	"zbp/internal/trace"
 	"zbp/internal/verif"
 	"zbp/internal/workload"
 )
-
-// Cell is one differential test point: everything needed to
-// reconstruct the identical simulation along every execution path.
-type Cell struct {
-	// Config is a machine-generation preset name (zEC12, z13, z14,
-	// z15).
-	Config string
-	// Workload names the synthetic workload (see workload.Names).
-	Workload string
-	// Seed is the workload generator seed.
-	Seed uint64
-	// Instructions is the per-thread budget; every path materializes or
-	// limits to exactly this many records.
-	Instructions int
-}
-
-// Name renders the cell as "config/workload/s<seed>/n<budget>".
-func (c Cell) Name() string {
-	return fmt.Sprintf("%s/%s/s%d/n%d", c.Config, c.Workload, c.Seed, c.Instructions)
-}
 
 // CheckKind classifies a check's strictness.
 type CheckKind uint8
@@ -145,7 +126,7 @@ func (r CheckResult) OK() bool { return len(r.Findings) == 0 }
 
 // CellResult aggregates every check run on one cell.
 type CellResult struct {
-	Cell   Cell
+	Cell   rcache.CellSpec
 	Checks []CheckResult
 	// Err is set when the cell could not be evaluated at all (unknown
 	// config/workload/check, canceled context); Checks is then empty.
@@ -178,7 +159,7 @@ func (r CellResult) Findings() []verif.Finding {
 // resolved config, the materialized packed trace, and the canonical
 // baseline (one packed-cursor run) most pairs compare to.
 type cellEnv struct {
-	cell   Cell
+	cell   rcache.CellSpec
 	cfg    sim.Config
 	packed *trace.Packed
 	// base is the canonical result: a packed-cursor sim.RunCtx run with
@@ -188,12 +169,13 @@ type cellEnv struct {
 	opts     Options
 }
 
-// CheckCell runs the selected checks on one cell. The context cancels
+// CheckCell runs the selected checks on one single-thread cell (a
+// cell with Workload2 set is an error). The context cancels
 // long cells cooperatively (every simulation inside runs on the RunCtx
 // path); a canceled cell returns with Err set. A non-nil error means
 // the cell could not be evaluated; divergences are reported through the
 // CellResult's findings, not through the error.
-func CheckCell(ctx context.Context, cell Cell, opts Options) CellResult {
+func CheckCell(ctx context.Context, cell rcache.CellSpec, opts Options) CellResult {
 	res := CellResult{Cell: cell}
 	checks, err := opts.selected()
 	if err != nil {
@@ -216,9 +198,12 @@ func CheckCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	return res
 }
 
-func newCellEnv(ctx context.Context, cell Cell, opts Options) (*cellEnv, error) {
+func newCellEnv(ctx context.Context, cell rcache.CellSpec, opts Options) (*cellEnv, error) {
 	if cell.Instructions <= 0 {
 		return nil, fmt.Errorf("equiv: cell %s needs a positive instruction budget", cell.Name())
+	}
+	if cell.Workload2 != "" {
+		return nil, fmt.Errorf("equiv: cell %s is SMT2; the checks run single-thread cells", cell.Name())
 	}
 	gen, err := core.ByName(cell.Config)
 	if err != nil {
@@ -241,12 +226,15 @@ func newCellEnv(ctx context.Context, cell Cell, opts Options) (*cellEnv, error) 
 	return env, nil
 }
 
-// Grid builds the cartesian product of configs x workloads as cells.
-func Grid(configs, workloads []string, seed uint64, instructions int) []Cell {
-	cells := make([]Cell, 0, len(configs)*len(workloads))
+// Grid builds the cartesian product configs x workloads x seeds as
+// single-thread cells, seeds innermost.
+func Grid(configs, workloads []string, seeds []uint64, instructions int) []rcache.CellSpec {
+	cells := make([]rcache.CellSpec, 0, len(configs)*len(workloads)*len(seeds))
 	for _, cfg := range configs {
 		for _, wl := range workloads {
-			cells = append(cells, Cell{Config: cfg, Workload: wl, Seed: seed, Instructions: instructions})
+			for _, seed := range seeds {
+				cells = append(cells, rcache.CellSpec{Config: cfg, Workload: wl, Seed: seed, Instructions: instructions})
+			}
 		}
 	}
 	return cells

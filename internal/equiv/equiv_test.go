@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zbp/internal/core"
+	"zbp/internal/rcache"
 	"zbp/internal/sim"
 	"zbp/internal/trace"
 	"zbp/internal/workload"
@@ -21,14 +22,14 @@ const (
 // z15, and a representative workload subset on the other generations
 // (the full preset x config grid is zdiff's job, exercised by `make
 // diff-smoke`). Short mode trims to one generation.
-func testGrid(t *testing.T) []Cell {
+func testGrid(t *testing.T) []rcache.CellSpec {
 	t.Helper()
-	cells := Grid([]string{"z15"}, workload.Names(), testSeed, testScale)
+	cells := Grid([]string{"z15"}, workload.Names(), []uint64{testSeed}, testScale)
 	if !testing.Short() {
 		cells = append(cells, Grid(
 			[]string{"zEC12", "z13", "z14"},
 			[]string{"loops", "callret", "indirect", "patterned", "lspr-small"},
-			testSeed, testScale)...)
+			[]uint64{testSeed}, testScale)...)
 	}
 	return cells
 }
@@ -58,7 +59,7 @@ func TestCheckGridClean(t *testing.T) {
 // TestCheckGridDeterministic reruns one cell at different grid
 // parallelism and demands identical findings (none) and results.
 func TestCheckGridDeterministic(t *testing.T) {
-	cells := Grid([]string{"z15", "zEC12"}, []string{"callret", "indirect"}, testSeed, testScale)
+	cells := Grid([]string{"z15", "zEC12"}, []string{"callret", "indirect"}, []uint64{testSeed}, testScale)
 	a := CheckGrid(context.Background(), cells, Options{}, 1)
 	b := CheckGrid(context.Background(), cells, Options{}, 4)
 	for i := range cells {
@@ -71,13 +72,31 @@ func TestCheckGridDeterministic(t *testing.T) {
 	}
 }
 
+// TestGridOrder pins the cell order that sweeps, diffs and zdiff
+// share: configs outermost, seeds innermost.
+func TestGridOrder(t *testing.T) {
+	cells := Grid([]string{"z14", "z15"}, []string{"loops", "micro"}, []uint64{1, 2}, 100)
+	want := []string{
+		"z14/loops/s1/n100", "z14/loops/s2/n100", "z14/micro/s1/n100", "z14/micro/s2/n100",
+		"z15/loops/s1/n100", "z15/loops/s2/n100", "z15/micro/s1/n100", "z15/micro/s2/n100",
+	}
+	if len(cells) != len(want) {
+		t.Fatalf("got %d cells, want %d", len(cells), len(want))
+	}
+	for i, c := range cells {
+		if c.Name() != want[i] {
+			t.Errorf("cell %d = %s, want %s", i, c.Name(), want[i])
+		}
+	}
+}
+
 // TestPerturbDetected seeds a deliberate divergence (one BTB1 entry
 // preloaded with an inverted BHT counter) and requires the harness to
 // detect it, attributing the finding to the right cell and naming the
 // first diverging metric — the end-to-end proof the acceptance
 // criteria ask for.
 func TestPerturbDetected(t *testing.T) {
-	cell := Cell{Config: "z15", Workload: "patterned", Seed: testSeed, Instructions: testScale}
+	cell := rcache.CellSpec{Config: "z15", Workload: "patterned", Seed: testSeed, Instructions: testScale}
 	res := CheckCell(context.Background(), cell, Options{
 		Perturb: true,
 		// Exact pairs that route through the perturbed sim constructor.
@@ -118,7 +137,7 @@ func TestPerturbEachExactPair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("per-check perturbation sweep skipped in short mode")
 	}
-	cell := Cell{Config: "z15", Workload: "patterned", Seed: testSeed, Instructions: testScale}
+	cell := rcache.CellSpec{Config: "z15", Workload: "patterned", Seed: testSeed, Instructions: testScale}
 	for _, name := range []string{"packed-vs-streaming", "run-vs-runctx", "event-replay"} {
 		res := CheckCell(context.Background(), cell, Options{Perturb: true, Checks: []string{name}})
 		if res.Err != nil {
@@ -189,10 +208,11 @@ func TestPackedFileRoundTrip(t *testing.T) {
 
 // TestCheckCellBadInputs exercises the setup error paths.
 func TestCheckCellBadInputs(t *testing.T) {
-	for _, cell := range []Cell{
+	for _, cell := range []rcache.CellSpec{
 		{Config: "z99", Workload: "loops", Seed: 1, Instructions: 100},
 		{Config: "z15", Workload: "no-such-workload", Seed: 1, Instructions: 100},
 		{Config: "z15", Workload: "loops", Seed: 1, Instructions: 0},
+		{Config: "z15", Workload: "loops", Workload2: "micro", Seed: 1, Instructions: 100},
 	} {
 		if res := CheckCell(context.Background(), cell, Options{}); res.Err == nil {
 			t.Errorf("cell %s: want setup error, got none", cell.Name())
@@ -205,7 +225,7 @@ func TestCheckCellBadInputs(t *testing.T) {
 func TestCheckGridCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cells := Grid([]string{"z15"}, []string{"loops", "callret"}, testSeed, 1000)
+	cells := Grid([]string{"z15"}, []string{"loops", "callret"}, []uint64{testSeed}, 1000)
 	results := CheckGrid(ctx, cells, Options{}, 1)
 	for _, r := range results {
 		if r.OK() {
@@ -229,7 +249,7 @@ func TestCheckNamesSelect(t *testing.T) {
 		t.Fatalf("selected() = %v, %v, want just warmup-prefix", sel, err)
 	}
 	res := CheckCell(context.Background(),
-		Cell{Config: "z15", Workload: "loops", Seed: testSeed, Instructions: 1000},
+		rcache.CellSpec{Config: "z15", Workload: "loops", Seed: testSeed, Instructions: 1000},
 		opts)
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -249,7 +269,7 @@ func TestCheckNamesSelect(t *testing.T) {
 // fails the cell instead of running zero checks and reporting OK.
 func TestCheckCellUnknownCheck(t *testing.T) {
 	res := CheckCell(context.Background(),
-		Cell{Config: "z15", Workload: "loops", Seed: testSeed, Instructions: 1000},
+		rcache.CellSpec{Config: "z15", Workload: "loops", Seed: testSeed, Instructions: 1000},
 		Options{Checks: []string{"no-such-check"}})
 	if res.Err == nil {
 		t.Fatalf("unknown check name accepted: ran %d checks, OK=%v", len(res.Checks), res.OK())
@@ -262,7 +282,7 @@ func TestCheckCellUnknownCheck(t *testing.T) {
 // TestFindingString pins the report line shape other layers parse.
 func TestFindingString(t *testing.T) {
 	res := CheckCell(context.Background(),
-		Cell{Config: "z15", Workload: "patterned", Seed: testSeed, Instructions: testScale},
+		rcache.CellSpec{Config: "z15", Workload: "patterned", Seed: testSeed, Instructions: testScale},
 		Options{Perturb: true, Checks: []string{"packed-vs-streaming"}})
 	if res.Err != nil {
 		t.Fatal(res.Err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"zbp/internal/rcache"
 	"zbp/internal/workload"
 )
 
@@ -25,7 +26,7 @@ func FuzzEquivCell(f *testing.F) {
 	opts := Options{Checks: []string{"packed-vs-streaming", "event-replay", "run-vs-runctx", "warmup-prefix"}}
 
 	f.Fuzz(func(t *testing.T, cfgIdx, wlIdx uint8, seed uint64, scale uint16) {
-		cell := Cell{
+		cell := rcache.CellSpec{
 			Config:   configs[int(cfgIdx)%len(configs)],
 			Workload: workloads[int(wlIdx)%len(workloads)],
 			Seed:     seed,

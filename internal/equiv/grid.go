@@ -3,6 +3,7 @@ package equiv
 import (
 	"context"
 
+	"zbp/internal/rcache"
 	"zbp/internal/runner"
 )
 
@@ -13,7 +14,7 @@ import (
 // same fan-out (runner.Each). Cancellation is cooperative — cells not
 // yet started return with Err set to ctx.Err(), in-flight cells stop
 // at their next simulation poll.
-func CheckGrid(ctx context.Context, cells []Cell, opts Options, parallelism int) []CellResult {
+func CheckGrid(ctx context.Context, cells []rcache.CellSpec, opts Options, parallelism int) []CellResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -24,15 +25,4 @@ func CheckGrid(ctx context.Context, cells []Cell, opts Options, parallelism int)
 		results[i] = CellResult{Cell: cells[i], Err: ctx.Err()}
 	})
 	return results
-}
-
-// Divergences counts cells that are not OK.
-func Divergences(results []CellResult) int {
-	n := 0
-	for _, r := range results {
-		if !r.OK() {
-			n++
-		}
-	}
-	return n
 }

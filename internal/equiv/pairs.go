@@ -187,7 +187,6 @@ func checkRunVsRunCtx(ctx context.Context, env *cellEnv, rep *verif.DiffReport) 
 // countSink tallies the event log by kind and thread.
 type countSink struct {
 	predicts int64
-	fills    int64
 	resolves map[int]int64
 	wrong    map[int]int64
 	dynamic  map[int]int64
@@ -215,8 +214,6 @@ func (s *countSink) Emit(e sim.Event) {
 		}
 	case sim.EvRestart:
 		s.restarts[e.Thread]++
-	case sim.EvFill:
-		s.fills++
 	}
 }
 

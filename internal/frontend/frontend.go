@@ -124,14 +124,6 @@ func (s Stats) Mispredicts() int64 {
 	return s.DynWrongDir + s.DynWrongTarget + s.SurpriseWrong
 }
 
-// MPKI returns mispredicted branches per thousand instructions.
-func (s Stats) MPKI() float64 {
-	if s.Instructions == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts()) / float64(s.Instructions) * 1000
-}
-
 // Thread is one hardware thread's front end.
 type Thread struct {
 	cfg Config
@@ -404,7 +396,7 @@ func (f *Thread) applyDynamic(now int64, r trace.Rec, p *core.Prediction) bool {
 	f.c.Complete(out)
 
 	if f.resolveHook != nil {
-		f.resolveHook(now, r, true, !out.WrongDirection() && !out.WrongTarget())
+		f.resolveHook(now, r, true, !out.Mispredicted())
 	}
 
 	if p.Taken && r.Taken() {
@@ -449,7 +441,7 @@ func (f *Thread) applySurprise(now int64, r trace.Rec) bool {
 
 	f.c.CompleteSurprise(core.Surprise{
 		Thread: f.id, Addr: r.Addr, Len: r.Len(), Kind: r.Kind(),
-		Taken: r.Taken(), Target: r.Target, Ctx: r.CtxID,
+		Taken: r.Taken(), Target: r.Target,
 		StreamEntry: f.streamEntry, HasStreamEntry: f.hasStreamEntry,
 	})
 

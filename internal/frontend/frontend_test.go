@@ -241,14 +241,3 @@ func TestCtxSwitchRestarts(t *testing.T) {
 		t.Error("context switch did not charge a restart")
 	}
 }
-
-func TestStatsMPKI(t *testing.T) {
-	s := Stats{Instructions: 2000, DynWrongDir: 3, SurpriseWrong: 1}
-	if s.MPKI() != 2 {
-		t.Errorf("MPKI = %v", s.MPKI())
-	}
-	var zero Stats
-	if zero.MPKI() != 0 {
-		t.Error("zero-instruction MPKI not 0")
-	}
-}

@@ -7,8 +7,6 @@
 // representable rather than hidden behind a cryptographic hash.
 package hashx
 
-import "math"
-
 // Fold reduces v to n bits by repeatedly XOR-folding the high half onto
 // the low half. n must be in [1, 63].
 func Fold(v uint64, n uint) uint64 {
@@ -93,47 +91,3 @@ func (r *Rand) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
-
-// Zipf draws from a Zipf-like distribution over [0, n) with exponent s,
-// using precomputed cumulative weights held in z. See NewZipf.
-type Zipf struct {
-	cum []float64
-	r   *Rand
-}
-
-// NewZipf builds a Zipf sampler over n items with exponent s (s > 0;
-// larger s concentrates mass on low indices). Commercial-workload
-// basic-block popularity is famously skewed, which is what gives the
-// big BTB structures their value (paper §II.A); the generators use this
-// to create realistic warm/cold code mixes.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("hashx: NewZipf with non-positive n")
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += 1.0 / math.Pow(float64(i+1), s)
-		cum[i] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &Zipf{cum: cum, r: r}
-}
-
-// Next draws one index.
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	// Binary search for the first cumulative weight >= u.
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

@@ -80,13 +80,13 @@ type Options struct {
 	// TTL is how long a finished job stays pollable before eviction.
 	// Default: 15m.
 	TTL time.Duration
-	// MaxEvents caps one job's event history; past it, events are
-	// dropped and a single truncation marker is appended. Default:
-	// 4096 (a full 64-cell sweep emits ~67).
-	MaxEvents int
 	// Now supplies the clock; tests inject a fake one to drive TTL
 	// eviction deterministically. Default: time.Now.
 	Now func() time.Time
+	// maxEvents caps one job's event history; past it, events are
+	// dropped and a single truncation marker is appended. 4096 by
+	// default (a full 64-cell sweep emits ~67); tests shrink it.
+	maxEvents int
 }
 
 func (o Options) withDefaults() Options {
@@ -96,8 +96,8 @@ func (o Options) withDefaults() Options {
 	if o.TTL <= 0 {
 		o.TTL = 15 * time.Minute
 	}
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = 4096
+	if o.maxEvents <= 0 {
+		o.maxEvents = 4096
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -146,7 +146,7 @@ func (s *Store) Create(kind string, cellsTotal int) (*Job, error) {
 		store:     s,
 		state:     Queued,
 		created:   s.opts.Now(),
-		maxEvents: s.opts.MaxEvents,
+		maxEvents: s.opts.maxEvents,
 		subs:      make(map[chan struct{}]struct{}),
 	}
 	j.progress.CellsTotal = cellsTotal

@@ -245,12 +245,12 @@ func TestEventsCursorAndNotify(t *testing.T) {
 	}
 }
 
-// TestEventHistoryTruncation: past MaxEvents the history stops
+// TestEventHistoryTruncation: past maxEvents the history stops
 // growing (single truncation marker), but the final done event always
 // lands so streams still terminate correctly.
 func TestEventHistoryTruncation(t *testing.T) {
 	clk := newFakeClock()
-	s := newStore(clk, Options{MaxEvents: 8})
+	s := newStore(clk, Options{maxEvents: 8})
 	j, _ := s.Create("sweep", 100)
 	j.Start(clk.now())
 	for i := 0; i < 50; i++ {

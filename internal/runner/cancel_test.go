@@ -17,9 +17,9 @@ func TestPoolCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := []runner.Job{
-		{Name: "a", Config: sim.Z15(), Source: runner.Workload("lspr", 1), Instructions: 1_000_000},
-		{Name: "b", Config: sim.Z15(), Source: runner.Workload("lspr", 2), Instructions: 1_000_000},
-		{Name: "c", Config: sim.Z15(), Source: runner.Workload("lspr", 3), Instructions: 1_000_000},
+		{Name: "a", Config: sim.Z15(), Source: runner.Cached(nil, "lspr", 1), Instructions: 1_000_000},
+		{Name: "b", Config: sim.Z15(), Source: runner.Cached(nil, "lspr", 2), Instructions: 1_000_000},
+		{Name: "c", Config: sim.Z15(), Source: runner.Cached(nil, "lspr", 3), Instructions: 1_000_000},
 	}
 	start := time.Now()
 	results := (&runner.Pool{Parallelism: 2}).Run(ctx, jobs)

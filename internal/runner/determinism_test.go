@@ -124,7 +124,7 @@ func TestPoolJobErrorIsolation(t *testing.T) {
 	bad := runner.Job{
 		Name:         "bad",
 		Config:       sim.ForGeneration(core.Z15()),
-		Source:       runner.Workload("no-such-workload", 1),
+		Source:       runner.Cached(nil, "no-such-workload", 1),
 		Instructions: 5_000,
 	}
 	results := (&runner.Pool{Parallelism: 2}).Run(context.Background(), []runner.Job{ok, bad, ok})

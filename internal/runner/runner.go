@@ -28,10 +28,6 @@ import (
 // order.
 type SourceSpec func(n int) ([]*trace.Packed, error)
 
-// Workload returns a SourceSpec for a single-threaded run of the named
-// generated workload, packed for the job alone.
-func Workload(name string, seed uint64) SourceSpec { return Cached(nil, name, seed) }
-
 // Cached returns a SourceSpec for a single-threaded run of the named
 // workload, drawn from mz at the job's budget: jobs sharing a key
 // replay one buffer while it stays resident. A nil mz packs for the
@@ -203,11 +199,6 @@ func runOne(ctx context.Context, job Job) (res Result) {
 		res.Err = fmt.Errorf("runner: job %q: %w", job.Name, err)
 	}
 	return res
-}
-
-// Run executes jobs on a default all-cores pool.
-func Run(ctx context.Context, jobs []Job) []Result {
-	return (&Pool{}).Run(ctx, jobs)
 }
 
 // Results unwraps a batch, panicking on the first error. Experiment

@@ -27,14 +27,14 @@ func mixedBatch(t testing.TB) []Job {
 		return []*trace.Packed{p}, nil
 	}
 	return []Job{
-		{Name: "lspr/z15", Config: sim.Z15(), Source: Workload("lspr", 42), Instructions: 30000},
-		{Name: "micro/z15", Config: sim.Z15(), Source: Workload("micro", 43), Instructions: 30000},
-		{Name: "lspr/shrunk", Config: shrunk, Source: Workload("lspr", 42), Instructions: 30000},
-		{Name: "indirect/nopref", Config: noPref, Source: Workload("indirect", 44), Instructions: 30000},
+		{Name: "lspr/z15", Config: sim.Z15(), Source: Cached(nil, "lspr", 42), Instructions: 30000},
+		{Name: "micro/z15", Config: sim.Z15(), Source: Cached(nil, "micro", 43), Instructions: 30000},
+		{Name: "lspr/shrunk", Config: shrunk, Source: Cached(nil, "lspr", 42), Instructions: 30000},
+		{Name: "indirect/nopref", Config: noPref, Source: Cached(nil, "indirect", 44), Instructions: 30000},
 		{Name: "smt2", Config: sim.Z15(), Source: SMT2("loops", 5, "micro", 6), Instructions: 20000},
 		{Name: "custom", Config: sim.Z15(), Source: custom, Instructions: 25000},
-		{Name: "patterned/z15", Config: sim.Z15(), Source: Workload("patterned", 45), Instructions: 30000},
-		{Name: "callret/z15", Config: sim.Z15(), Source: Workload("callret", 46), Instructions: 30000},
+		{Name: "patterned/z15", Config: sim.Z15(), Source: Cached(nil, "patterned", 45), Instructions: 30000},
+		{Name: "callret/z15", Config: sim.Z15(), Source: Cached(nil, "callret", 46), Instructions: 30000},
 	}
 }
 
@@ -78,9 +78,9 @@ func TestPoolPanicDrains(t *testing.T) {
 		panic("synthetic source failure")
 	}
 	jobs := []Job{
-		{Name: "ok-before", Config: sim.Z15(), Source: Workload("loops", 1), Instructions: 10000},
+		{Name: "ok-before", Config: sim.Z15(), Source: Cached(nil, "loops", 1), Instructions: 10000},
 		{Name: "boom", Config: sim.Z15(), Source: boom, Instructions: 10000},
-		{Name: "ok-after", Config: sim.Z15(), Source: Workload("micro", 2), Instructions: 10000},
+		{Name: "ok-after", Config: sim.Z15(), Source: Cached(nil, "micro", 2), Instructions: 10000},
 	}
 	for _, par := range []int{1, 8} {
 		out := (&Pool{Parallelism: par}).Run(context.Background(), jobs)
@@ -103,10 +103,10 @@ func TestPoolPanicDrains(t *testing.T) {
 func TestPoolErrors(t *testing.T) {
 	jobs := []Job{
 		{Name: "nosource", Config: sim.Z15(), Instructions: 1000},
-		{Name: "unknown", Config: sim.Z15(), Source: Workload("no-such-workload", 1), Instructions: 1000},
-		{Name: "fine", Config: sim.Z15(), Source: Workload("loops", 1), Instructions: 1000},
+		{Name: "unknown", Config: sim.Z15(), Source: Cached(nil, "no-such-workload", 1), Instructions: 1000},
+		{Name: "fine", Config: sim.Z15(), Source: Cached(nil, "loops", 1), Instructions: 1000},
 	}
-	out := Run(context.Background(), jobs)
+	out := (&Pool{}).Run(context.Background(), jobs)
 	if out[0].Err == nil || !strings.Contains(out[0].Err.Error(), "no source") {
 		t.Errorf("want no-source error, got %v", out[0].Err)
 	}
@@ -126,12 +126,12 @@ func TestResultsPanicsOnError(t *testing.T) {
 			t.Fatal("Results did not panic on a failed job")
 		}
 	}()
-	Results(Run(context.Background(), []Job{{Name: "bad", Config: sim.Z15(), Source: Workload("nope", 1)}}))
+	Results((&Pool{}).Run(context.Background(), []Job{{Name: "bad", Config: sim.Z15(), Source: Cached(nil, "nope", 1)}}))
 }
 
 // TestEmptyBatch: zero jobs is a no-op, not a hang.
 func TestEmptyBatch(t *testing.T) {
-	if out := Run(context.Background(), nil); len(out) != 0 {
+	if out := (&Pool{}).Run(context.Background(), nil); len(out) != 0 {
 		t.Fatalf("want empty results, got %d", len(out))
 	}
 }

@@ -75,9 +75,6 @@ func NewU(v, max uint8) UCounter {
 // Get returns the current value.
 func (u UCounter) Get() uint8 { return u.v }
 
-// Max returns the saturation bound.
-func (u UCounter) Max() uint8 { return u.max }
-
 // Inc returns the counter incremented, saturating at max.
 func (u UCounter) Inc() UCounter {
 	if u.v < u.max {

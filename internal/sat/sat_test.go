@@ -82,9 +82,6 @@ func TestUCounter(t *testing.T) {
 	if NewU(9, 3).Get() != 3 {
 		t.Error("NewU did not clamp")
 	}
-	if NewU(2, 7).Max() != 7 {
-		t.Error("Max wrong")
-	}
 }
 
 func TestWeightSaturation(t *testing.T) {

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -155,19 +153,7 @@ func TestQueueFullRetryAfterScales(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	loc(s).observeRun(5 * time.Second)
 
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = loc(s).q.submitWait(context.Background(), func(context.Context) { <-release })
-		}()
-	}
-	defer func() {
-		close(release)
-		wg.Wait()
-	}()
+	parkBlockers(t, s, 2)
 	waitFor(t, 5*time.Second, func() bool {
 		return loc(s).q.depth() == 1
 	}, func() string { return fmt.Sprintf("queue depth %d", loc(s).q.depth()) })

@@ -37,7 +37,7 @@ func (stubExec) Shutdown()                             {}
 // request, 400/413 for a bad or oversized body, 429 for a full job
 // table or admission bucket.
 func FuzzFrontendDecode(f *testing.F) {
-	s, err := NewFrontend(Config{MaxBodyBytes: 4 << 10, AuditEvery: -1}, stubExec{}, Role{
+	s, err := NewFrontend(Config{maxBodyBytes: 4 << 10, AuditEvery: -1}, stubExec{}, Role{
 		Service: "zbpd", Prefix: "zbpd.", FailStatus: http.StatusInternalServerError,
 		AdmitRate: 1000, AdmitBurst: 64, Now: time.Now,
 	})

@@ -7,12 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"zbp/internal/equiv"
 	"zbp/internal/jobs"
 	"zbp/internal/metrics"
 	"zbp/internal/rcache"
+	"zbp/internal/runner"
 )
 
 // Async job API. A job is a simulate/sweep/diff request that runs
@@ -359,70 +360,59 @@ func (s *Server) cellEvent(cell rcache.CellSpec, out Outcome, sum CellSummary) C
 	}
 }
 
-// runGrid resolves every cell of a sweep grid, the role's GridWidth at
-// a time: one by one on a single box (one worker per sweep, events in
-// grid order), all at once on a fleet. Rows are position-assigned in
-// grid order — configs outermost, seeds innermost — and derived from
-// canonical stats through Summarize, so the response marshals the same
-// bytes on every role. A failed cell is its row's error; the grid as a
-// whole fails only when ctx dies or the local queue refuses a sync
-// request. A job (non-nil j) waits out a full local queue and publishes
-// one cell event per finished cell, serialized, with Done increasing.
+// runGrid resolves every cell of a sweep grid through runner.Each, the
+// role's GridWidth at a time: one by one on a single box (one worker
+// per sweep, events in grid order), all at once on a fleet. Rows are
+// position-assigned in equiv.Grid order — configs outermost, seeds
+// innermost — and derived from canonical stats through Summarize, so
+// the response marshals the same bytes on every role. A failed cell is
+// its row's error; the grid as a whole fails only when ctx dies or the
+// local queue refuses a sync request, and no cell starts after that. A
+// job (non-nil j) waits out a full local queue and publishes one cell
+// event per finished cell, serialized, with Done increasing.
 func (s *Server) runGrid(ctx context.Context, req SweepRequest, noCache bool, j *jobs.Job) (SweepResponse, error) {
-	var cells []rcache.CellSpec
-	for _, config := range req.Configs {
-		for _, wl := range req.Workloads {
-			for _, seed := range req.Seeds {
-				cells = append(cells, rcache.CellSpec{
-					Config: config, Workload: wl, Seed: seed, Instructions: req.Instructions,
-				})
-			}
-		}
-	}
+	cells := equiv.Grid(req.Configs, req.Workloads, req.Seeds, req.Instructions)
 	rows := make([]SweepCell, len(cells))
 	var (
-		next atomic.Int64
 		mu   sync.Mutex // serializes events and guards done and stop
 		done int
 		stop error
 	)
-	work := func() {
-		for i := int(next.Add(1) - 1); i < len(cells); i = int(next.Add(1) - 1) {
-			var ev CellEvent
-			var err error
-			rows[i], ev, err = s.gridCell(ctx, cells[i], noCache, j != nil)
-			mu.Lock()
-			if stop == nil {
-				stop = err
-			}
-			if stop == nil && j != nil {
-				done++
-				ev.Index, ev.Done, ev.Total = i, done, len(cells)
-				if ev.Error == "" {
-					j.CellDone(ev.Cached)
-				}
-				j.Publish(ev)
-			}
-			halt := stop != nil
-			mu.Unlock()
-			if halt {
-				return
-			}
-		}
+	failed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return stop != nil
 	}
 	width := s.role.GridWidth
-	if width <= 0 || width > len(cells) {
+	if width <= 0 {
 		width = len(cells)
 	}
-	var wg sync.WaitGroup
-	wg.Add(width)
-	for range width {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	wg.Wait()
+	runner.Each(ctx, len(cells), width, func(i int) {
+		if failed() {
+			return
+		}
+		row, ev, err := s.gridCell(ctx, cells[i], noCache, j != nil)
+		rows[i] = row
+		mu.Lock()
+		defer mu.Unlock()
+		if stop == nil {
+			stop = err
+		}
+		if stop == nil && j != nil {
+			done++
+			ev.Index, ev.Done, ev.Total = i, done, len(cells)
+			if ev.Error == "" {
+				j.CellDone(ev.Cached)
+			}
+			j.Publish(ev)
+		}
+	}, func(int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if stop == nil {
+			stop = ctx.Err()
+		}
+	})
 	if stop != nil {
 		return SweepResponse{}, stop
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -315,14 +314,7 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 
 	// Occupy the only worker so the job stays queued.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		_ = loc(s).q.submitWait(context.Background(), func(context.Context) {
-			close(started)
-			<-release
-		})
-	}()
+	started, free := parkBlockers(t, s, 1)
 	<-started
 
 	st := submitJob(t, ts, JobRequest{Simulate: &SimulateRequest{Workload: "loops", Instructions: 10_000}})
@@ -337,7 +329,7 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	}
 	// The cancel has landed (DELETE answered); free the worker so it
 	// reaches the queued task and skips its dead context.
-	close(release)
+	free()
 
 	canceled := waitJob(t, ts, st.ID, jobs.Canceled)
 	if canceled.Progress.CellsDone != 0 {
@@ -706,19 +698,7 @@ func TestJobWaitsOutFullQueue(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 
 	// One blocker occupies the worker, one fills the single queue slot.
-	// A failed assertion still frees them, or Close would wait forever.
-	release := make(chan struct{})
-	var once sync.Once
-	free := func() { once.Do(func() { close(release) }) }
-	defer free()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = loc(s).q.submitWait(context.Background(), func(context.Context) { <-release })
-		}()
-	}
+	_, free := parkBlockers(t, s, 2)
 	waitFor(t, 5*time.Second, func() bool {
 		return loc(s).q.depth() == 1
 	}, func() string { return fmt.Sprintf("queue depth %d", loc(s).q.depth()) })
@@ -741,7 +721,6 @@ func TestJobWaitsOutFullQueue(t *testing.T) {
 	}
 
 	free()
-	wg.Wait()
 	for _, id := range ids {
 		done := waitJob(t, ts, id, jobs.Done)
 		if p := done.Progress; p.CellsDone != p.CellsTotal {

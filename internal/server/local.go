@@ -102,7 +102,7 @@ func (l *local) Recompute(ctx context.Context, cell rcache.CellSpec) ([]byte, er
 // Diff runs the harness grid inside one queue slot, one cell at a time,
 // so simulation concurrency stays at the worker count.
 func (l *local) Diff(ctx context.Context, req DiffRequest, seed uint64, onCell func(DiffCell)) ([]DiffCell, error) {
-	grid := equiv.Grid(req.Configs, req.Workloads, seed, req.Instructions)
+	grid := equiv.Grid(req.Configs, req.Workloads, []uint64{seed}, req.Instructions)
 	opts := equiv.Options{Checks: req.Checks, Perturb: req.Perturb}
 	cells := make([]DiffCell, 0, len(grid))
 	err := l.enqueue(ctx, func(ctx context.Context) {

@@ -58,8 +58,6 @@ type Config struct {
 	// QueueDepth is how many accepted requests may wait beyond the
 	// ones running before submissions are answered 429. Default: 16.
 	QueueDepth int
-	// MaxBodyBytes bounds request bodies. Default: 1 MiB.
-	MaxBodyBytes int64
 	// MaxInstructions bounds the per-thread instruction budget of one
 	// request; it is also the materialized-trace size cap. Default:
 	// 20M.
@@ -109,6 +107,9 @@ type Config struct {
 	// make the server read arbitrary local files.
 	TraceDir string
 
+	// maxBodyBytes bounds request bodies (1 MiB by default); tests
+	// shrink it.
+	maxBodyBytes int64
 	// now supplies the clock for the job table; tests swap in a fake
 	// to drive TTL eviction deterministically.
 	now func() time.Time
@@ -121,8 +122,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
+	if c.maxBodyBytes <= 0 {
+		c.maxBodyBytes = 1 << 20
 	}
 	if c.MaxInstructions <= 0 {
 		c.MaxInstructions = 20_000_000
@@ -757,7 +758,7 @@ func (s *Server) replyError(w http.ResponseWriter, err error) {
 // Decode parses a size-limited JSON body with unknown fields refused,
 // answering 400/413 itself.
 func (s *Server) Decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {

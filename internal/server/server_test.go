@@ -40,6 +40,39 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // front end.
 func loc(s *Server) *local { return s.exec.(*local) }
 
+// parkBlockers submits n tasks straight to s's queue. Each sends on
+// started when a worker picks it up, then holds that worker until free
+// is called; free releases every blocker and waits for their
+// submissions to return. free is idempotent and also registered with
+// t.Cleanup after newTestServer's cleanup, so it runs first: a test
+// that fails before calling free still releases the workers that
+// Close waits for.
+func parkBlockers(t *testing.T, s *Server, n int) (started <-chan struct{}, free func()) {
+	t.Helper()
+	start := make(chan struct{}, n)
+	release := make(chan struct{})
+	var (
+		once sync.Once
+		wg   sync.WaitGroup
+	)
+	free = func() {
+		once.Do(func() { close(release) })
+		wg.Wait()
+	}
+	t.Cleanup(free)
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = loc(s).q.submitWait(context.Background(), func(context.Context) {
+				start <- struct{}{}
+				<-release
+			})
+		}()
+	}
+	return start, free
+}
+
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	b, err := json.Marshal(body)
@@ -121,7 +154,7 @@ func TestSimulateSMT2(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxInstructions: 100_000, MaxBodyBytes: 512})
+	_, ts := newTestServer(t, Config{Workers: 1, MaxInstructions: 100_000, maxBodyBytes: 512})
 	cases := []struct {
 		name string
 		body string
@@ -219,15 +252,7 @@ func TestQueueFull429(t *testing.T) {
 
 	// Deterministically saturate: one blocker occupies the worker, one
 	// fills the single queue slot.
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = loc(s).q.submitWait(context.Background(), func(context.Context) { <-release })
-		}()
-	}
+	_, free := parkBlockers(t, s, 2)
 	waitFor(t, 5*time.Second, func() bool {
 		return loc(s).q.depth() == 1
 	}, func() string { return fmt.Sprintf("queue depth %d", loc(s).q.depth()) })
@@ -244,8 +269,7 @@ func TestQueueFull429(t *testing.T) {
 	}
 
 	// Free the queue; service must recover.
-	close(release)
-	wg.Wait()
+	free()
 	resp2, body2 := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Workload: "loops", Instructions: 10_000})
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-drain status %d: %s", resp2.StatusCode, body2)

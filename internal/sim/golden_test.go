@@ -40,7 +40,7 @@ func goldenJobs() []runner.Job {
 		jobs = append(jobs, runner.Job{
 			Name:         gen.Name,
 			Config:       sim.ForGeneration(gen),
-			Source:       runner.Workload(goldenWorkload, goldenSeed),
+			Source:       runner.Cached(nil, goldenWorkload, goldenSeed),
 			Instructions: goldenScale,
 		})
 	}
@@ -53,7 +53,7 @@ func goldenJobs() []runner.Job {
 // regression or, for an intentional change, re-run with -update and
 // commit the new goldens alongside the change that caused them.
 func TestGoldenStats(t *testing.T) {
-	results := runner.Results(runner.Run(context.Background(), goldenJobs()))
+	results := runner.Results((&runner.Pool{}).Run(context.Background(), goldenJobs()))
 	for i := range results {
 		res := results[i]
 		t.Run(res.Name, func(t *testing.T) {
@@ -115,8 +115,8 @@ func unmarshalSnapshot(b []byte, s *metrics.Snapshot) error {
 // on: re-running the same job yields byte-identical stats JSON.
 func TestGoldenDeterminism(t *testing.T) {
 	job := goldenJobs()[0]
-	a := runner.Results(runner.Run(context.Background(), []runner.Job{job}))[0]
-	b := runner.Results(runner.Run(context.Background(), []runner.Job{job}))[0]
+	a := runner.Results((&runner.Pool{}).Run(context.Background(), []runner.Job{job}))[0]
+	b := runner.Results((&runner.Pool{}).Run(context.Background(), []runner.Job{job}))[0]
 	aj, err := a.StatsJSON()
 	if err != nil {
 		t.Fatal(err)

@@ -30,12 +30,12 @@ func TestGridAllConfigsAllWorkloads(t *testing.T) {
 			jobs = append(jobs, runner.Job{
 				Name:         gen.Name + "/" + name,
 				Config:       sim.ForGeneration(gen),
-				Source:       runner.Workload(name, 11),
+				Source:       runner.Cached(nil, name, 11),
 				Instructions: n,
 			})
 		}
 	}
-	for i, r := range runner.Run(context.Background(), jobs) {
+	for i, r := range (&runner.Pool{}).Run(context.Background(), jobs) {
 		res, c := r.Res, cells[i]
 		t.Run(c.gen+"/"+c.name, func(t *testing.T) {
 			if r.Err != nil {
@@ -89,7 +89,7 @@ func TestGridSMT2Pairs(t *testing.T) {
 			})
 		}
 	}
-	for i, r := range runner.Run(context.Background(), jobs) {
+	for i, r := range (&runner.Pool{}).Run(context.Background(), jobs) {
 		r := r
 		t.Run(names[i], func(t *testing.T) {
 			if r.Err != nil {

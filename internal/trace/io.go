@@ -141,9 +141,6 @@ func (tw *Writer) Flush() error {
 	return tw.w.Flush()
 }
 
-// Count returns the number of records written so far.
-func (tw *Writer) Count() int { return tw.count }
-
 // Reader streams records from the binary format; it implements Source.
 type Reader struct {
 	r        *bufio.Reader
@@ -151,7 +148,6 @@ type Reader struct {
 	ctx      uint16
 	readHdr  bool
 	err      error
-	count    int
 }
 
 // NewReader returns a Reader consuming from r.
@@ -242,9 +238,5 @@ func (tr *Reader) Next() (Rec, bool) {
 		return Rec{}, false
 	}
 	tr.expected = rec.Addr + zarch.Addr(n)
-	tr.count++
 	return rec, true
 }
-
-// Count returns the number of records read so far.
-func (tr *Reader) Count() int { return tr.count }

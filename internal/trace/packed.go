@@ -24,8 +24,6 @@ type Packed struct {
 	tgt  []zarch.Addr
 	ctx  []uint16
 	meta []uint8
-
-	branches int
 }
 
 // The meta column stores Rec.Meta verbatim (the RecMeta byte layout),
@@ -62,9 +60,6 @@ func (p *Packed) appendRec(r Rec) error {
 	p.tgt = append(p.tgt, r.Target)
 	p.ctx = append(p.ctx, r.CtxID)
 	p.meta = append(p.meta, r.Meta)
-	if r.IsBranch() {
-		p.branches++
-	}
 	return nil
 }
 
@@ -100,9 +95,6 @@ func PackRecs(recs []Rec) (*Packed, error) {
 
 // Len returns the number of records in the buffer.
 func (p *Packed) Len() int { return len(p.meta) }
-
-// Branches returns the number of branch records in the buffer.
-func (p *Packed) Branches() int { return p.branches }
 
 // SizeBytes returns the heap footprint of the columns, for capacity
 // planning when many workloads are materialized at once.

@@ -64,8 +64,8 @@ func FuzzPackedRoundTrip(f *testing.F) {
 				branches++
 			}
 		}
-		if p.Branches() != branches {
-			t.Fatalf("Branches = %d, want %d", p.Branches(), branches)
+		if got := p.Stats().Branches; got != branches {
+			t.Fatalf("Branches = %d, want %d", got, branches)
 		}
 
 		// Re-encode and reload: decoded records are already canonical,

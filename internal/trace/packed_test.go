@@ -40,8 +40,8 @@ func TestPackRecsRoundTrip(t *testing.T) {
 			wantBranches++
 		}
 	}
-	if p.Branches() != wantBranches {
-		t.Errorf("Branches = %d, want %d", p.Branches(), wantBranches)
+	if got := p.Stats().Branches; got != wantBranches {
+		t.Errorf("Branches = %d, want %d", got, wantBranches)
 	}
 	if p.SizeBytes() < p.Len()*19 {
 		t.Errorf("SizeBytes = %d, implausibly small for %d records", p.SizeBytes(), p.Len())
@@ -192,8 +192,8 @@ func TestPackedFileRoundTrip(t *testing.T) {
 			t.Errorf("record %d: loaded %+v, wrote %+v", i, got, want)
 		}
 	}
-	if q.Branches() != p.Branches() {
-		t.Errorf("loaded Branches = %d, want %d", q.Branches(), p.Branches())
+	if got, want := q.Stats().Branches, p.Stats().Branches; got != want {
+		t.Errorf("loaded Branches = %d, want %d", got, want)
 	}
 }
 

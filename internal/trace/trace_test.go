@@ -132,9 +132,6 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != len(recs) {
-		t.Errorf("writer Count = %d", w.Count())
-	}
 	rd := NewReader(&buf)
 	got := Take(rd, len(recs)+10)
 	if err := rd.Err(); err != nil {

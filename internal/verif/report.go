@@ -5,23 +5,22 @@ import (
 	"strings"
 )
 
-// Finding is one detected discrepancy, generalized beyond the array
-// monitors: the differential harness (internal/equiv) and the lockstep
-// monitors in this package share it so every correctness layer reports
-// divergences in the same shape — which check fired, on which cell (or
-// array), at which cycle, and the first metric that disagreed.
+// Finding is one detected discrepancy of the differential harness
+// (internal/equiv) and of its cache audit: which check fired, on which
+// cell, at which cycle, and the first metric that disagreed. The
+// lockstep monitors in this package report Error instead.
 type Finding struct {
-	// Check names the checker that fired ("read-monitor",
-	// "packed-vs-streaming", ...).
+	// Check names the checker that fired ("packed-vs-streaming",
+	// "cache-audit", ...).
 	Check string
 	// Cell identifies the stimulus: a (config, workload, seed, budget)
-	// cell for differential checks, a driver label for array monitors.
+	// cell.
 	Cell string
 	// Cycle is the simulation cycle the discrepancy was observed at, or
 	// -1 when the check compares whole-run aggregates.
 	Cycle int64
-	// Metric is the first diverging metric (stats-snapshot key) for
-	// aggregate checks; empty for cycle-level monitor errors.
+	// Metric is the first diverging metric (stats-snapshot key), or
+	// empty when the check has none to name.
 	Metric string
 	// Detail is the human-readable explanation.
 	Detail string
@@ -42,15 +41,8 @@ func (f Finding) String() string {
 	return b.String()
 }
 
-// Finding lifts a monitor Error into the shared report shape.
-func (e Error) Finding(check, cell string) Finding {
-	return Finding{Check: check, Cell: cell, Cycle: e.Cycle, Detail: e.What}
-}
-
-// DiffReport collects findings from one differential or monitor
-// crosscheck run. (Report, in driver.go, is the constrained-random
-// run summary; a DiffReport is the divergence list shared by equiv
-// and the monitors.)
+// DiffReport collects the findings of one differential check; Report
+// is the constrained-random run summary.
 type DiffReport struct {
 	Findings []Finding
 }
@@ -62,16 +54,4 @@ func (r *DiffReport) Add(f Finding) { r.Findings = append(r.Findings, f) }
 func (r *DiffReport) Addf(check, cell, metric, format string, args ...any) {
 	r.Add(Finding{Check: check, Cell: cell, Cycle: -1, Metric: metric,
 		Detail: fmt.Sprintf(format, args...)})
-}
-
-// OK reports a clean run.
-func (r DiffReport) OK() bool { return len(r.Findings) == 0 }
-
-// String renders every finding, one per line.
-func (r DiffReport) String() string {
-	lines := make([]string, len(r.Findings))
-	for i, f := range r.Findings {
-		lines[i] = f.String()
-	}
-	return strings.Join(lines, "\n")
 }

@@ -20,13 +20,6 @@ type Addr uint64
 // granule of one z15 BTB1 search (paper §IV).
 func (a Addr) Line64() Addr { return a &^ 63 }
 
-// Line32 returns the 32-byte line containing a, the granule covered by
-// each of the two search ports on z13/z14 and by one instruction fetch.
-func (a Addr) Line32() Addr { return a &^ 31 }
-
-// Offset64 returns the byte offset of a within its 64-byte line.
-func (a Addr) Offset64() uint { return uint(a & 63) }
-
 func (a Addr) String() string { return fmt.Sprintf("%#x", uint64(a)) }
 
 // HalfwordAligned reports whether a is a legal instruction address.
@@ -83,11 +76,6 @@ func (k BranchKind) Indirect() bool {
 	return k == KindCondInd || k == KindUncondInd
 }
 
-// Relative reports whether the target is encoded in the instruction text.
-func (k BranchKind) Relative() bool {
-	return k == KindCondRel || k == KindUncondRel || k == KindLoop
-}
-
 // StaticGuessTaken returns the IDU's static direction guess for a
 // surprise branch of kind k (paper §IV): unconditional branches and
 // loop branches are guessed taken; most conditional branches are
@@ -119,9 +107,6 @@ type Instruction struct {
 	Len  uint8 // 2, 4 or 6
 	Kind BranchKind
 }
-
-// Next returns the next sequential instruction address (NSIA).
-func (i Instruction) Next() Addr { return i.Addr + Addr(i.Len) }
 
 // Validate checks structural invariants and returns a descriptive error
 // for the first violation.

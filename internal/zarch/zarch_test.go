@@ -7,25 +7,17 @@ import (
 
 func TestLineHelpers(t *testing.T) {
 	cases := []struct {
-		a              Addr
-		line64, line32 Addr
-		off64          uint
+		a, line64 Addr
 	}{
-		{0, 0, 0, 0},
-		{0x3e, 0, 0x20, 0x3e},
-		{0x40, 0x40, 0x40, 0},
-		{0x1234, 0x1200, 0x1220, 0x34},
-		{0xfffffffffffffffe, 0xffffffffffffffc0, 0xffffffffffffffe0, 0x3e},
+		{0, 0},
+		{0x3e, 0},
+		{0x40, 0x40},
+		{0x1234, 0x1200},
+		{0xfffffffffffffffe, 0xffffffffffffffc0},
 	}
 	for _, c := range cases {
 		if got := c.a.Line64(); got != c.line64 {
 			t.Errorf("Line64(%s) = %s, want %s", c.a, got, c.line64)
-		}
-		if got := c.a.Line32(); got != c.line32 {
-			t.Errorf("Line32(%s) = %s, want %s", c.a, got, c.line32)
-		}
-		if got := c.a.Offset64(); got != c.off64 {
-			t.Errorf("Offset64(%s) = %d, want %d", c.a, got, c.off64)
 		}
 	}
 }
@@ -34,7 +26,7 @@ func TestLine64Properties(t *testing.T) {
 	f := func(a uint64) bool {
 		addr := Addr(a)
 		l := addr.Line64()
-		return l&63 == 0 && l <= addr && addr-l < 64 && l+Addr(addr.Offset64()) == addr
+		return l&63 == 0 && l <= addr && addr-l < 64 && l+addr&63 == addr
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -43,15 +35,15 @@ func TestLine64Properties(t *testing.T) {
 
 func TestBranchKindPredicates(t *testing.T) {
 	cases := []struct {
-		k                                 BranchKind
-		isBr, cond, ind, rel, staticTaken bool
+		k                            BranchKind
+		isBr, cond, ind, staticTaken bool
 	}{
-		{KindNone, false, false, false, false, false},
-		{KindCondRel, true, true, false, true, false},
-		{KindUncondRel, true, false, false, true, true},
-		{KindCondInd, true, true, true, false, false},
-		{KindUncondInd, true, false, true, false, true},
-		{KindLoop, true, true, false, true, true},
+		{KindNone, false, false, false, false},
+		{KindCondRel, true, true, false, false},
+		{KindUncondRel, true, false, false, true},
+		{KindCondInd, true, true, true, false},
+		{KindUncondInd, true, false, true, true},
+		{KindLoop, true, true, false, true},
 	}
 	for _, c := range cases {
 		if got := c.k.IsBranch(); got != c.isBr {
@@ -63,23 +55,8 @@ func TestBranchKindPredicates(t *testing.T) {
 		if got := c.k.Indirect(); got != c.ind {
 			t.Errorf("%v.Indirect() = %v, want %v", c.k, got, c.ind)
 		}
-		if got := c.k.Relative(); got != c.rel {
-			t.Errorf("%v.Relative() = %v, want %v", c.k, got, c.rel)
-		}
 		if got := c.k.StaticGuessTaken(); got != c.staticTaken {
 			t.Errorf("%v.StaticGuessTaken() = %v, want %v", c.k, got, c.staticTaken)
-		}
-	}
-}
-
-func TestKindPartition(t *testing.T) {
-	// Every branch kind is exactly one of relative or indirect.
-	for k := KindNone; k < numKinds; k++ {
-		if !k.IsBranch() {
-			continue
-		}
-		if k.Relative() == k.Indirect() {
-			t.Errorf("%v: Relative()=%v Indirect()=%v, want exactly one", k, k.Relative(), k.Indirect())
 		}
 	}
 }
@@ -97,15 +74,6 @@ func TestInstructionValidate(t *testing.T) {
 	for _, b := range bad {
 		if err := b.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", b)
-		}
-	}
-}
-
-func TestInstructionNext(t *testing.T) {
-	for _, n := range []uint8{2, 4, 6} {
-		i := Instruction{Addr: 0x2000, Len: n}
-		if got := i.Next(); got != Addr(0x2000+uint64(n)) {
-			t.Errorf("Next with len %d = %s", n, got)
 		}
 	}
 }
